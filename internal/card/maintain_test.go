@@ -258,3 +258,37 @@ func TestMaintainUnderMobilityKeepsPathsValid(t *testing.T) {
 		t.Error("10 s of RWP mobility lost no contacts at all (suspicious)")
 	}
 }
+
+// TestAllocsPerRoundIndependentOfCSQs pins the walk scratch of a serial
+// maintenance round: on a dense static field most tables stay below NoC,
+// so every round launches hundreds of CSQs, yet a warmed round must
+// allocate next to nothing — no per-CSQ route or walk buffer.
+func TestAllocsPerRoundIndependentOfCSQs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	net := staticNet(5, 400, 110)
+	p := newProtocol(t, net, Config{R: 2, MaxContactDist: 8, NoC: 6, Method: EM}, 5)
+	p.SelectAll(0)
+	now := 0.0
+	round := func() {
+		now += 2
+		p.MaintainAll(now)
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	before := p.Stats().CSQLaunched
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, round)
+	// AllocsPerRun makes one extra warm-up call.
+	csqs := float64(p.Stats().CSQLaunched-before) / (runs + 1)
+	t.Logf("%.1f allocs per round, %.0f CSQs launched per round", allocs, csqs)
+	if csqs < 100 {
+		t.Fatalf("only %.0f CSQs per round: the field no longer exercises the walk", csqs)
+	}
+	const budget = 5
+	if allocs > budget {
+		t.Errorf("a warmed round allocates %.1f times (budget %d) for %.0f CSQs", allocs, budget, csqs)
+	}
+}

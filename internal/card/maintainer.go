@@ -34,30 +34,59 @@ type Maintainer struct {
 	visited  []uint64
 	visitGen uint64
 
-	// ineligible is the per-CSQ selection-overlap scratch, epoch stamped
-	// like visited; see computeIneligible.
-	ineligible []uint64
-	ineligGen  uint64
+	// ineligible is the selection-overlap set of the current selectContacts
+	// call, epoch stamped like visited; see computeIneligible. ineligReady
+	// reports whether the current call has computed it yet.
+	ineligible  []uint64
+	ineligGen   uint64
+	ineligReady bool
+
+	// Reusable walk and validation scratch, grown on demand and retained
+	// across rounds: the walk stack and its frames, the candidate arena the
+	// frames index into (see walkEM), the shuffled edge-node copy,
+	// validatePath's rebuilt route and the provider route buffer. The old
+	// per-walk allocations of these were the dominant GC churn of a
+	// maintenance round.
+	stack   []NodeID
+	frames  []frame
+	cand    []NodeID
+	edges   []NodeID
+	pathOut []NodeID
+	route   []NodeID
+
+	// The per-hop hot state — the generator and the local tallies — sits
+	// on cache lines of its own. Workers' Maintainers are separate heap
+	// objects that can land back to back; without the fences one worker's
+	// draws and tally bumps would keep invalidating the line another
+	// worker's generator lives on.
+	_ [cacheLine]byte
 
 	// rng is reseeded from the (node, round) substream at every
 	// MaintainNode/SelectNode entry; it must never be drawn from before a
 	// reseed.
-	rng *xrand.Rand
-
-	// Reusable walk and validation scratch, grown on demand and retained
-	// across rounds: the EM/PM walk stack, the per-step candidate list,
-	// the shuffled edge-node copy and validatePath's rebuilt route. The
-	// old per-walk allocations of these were the dominant GC churn of a
-	// maintenance round.
-	stack   []NodeID
-	cand    []NodeID
-	edges   []NodeID
-	pathOut []NodeID
+	rng xrand.Rand
 
 	// Locally accumulated protocol statistics and transmission tallies,
 	// flushed on demand.
 	stats Stats
 	pend  manet.Counters
+
+	_ [cacheLine]byte
+}
+
+// cacheLine is the fence width between per-worker hot state (see
+// Maintainer).
+const cacheLine = 64
+
+// frame is one level of a CSQ walk stack at or beyond the edge node: the
+// node's remaining candidates are cand[lo:hi] of the Maintainer's arena.
+// EM frames also remember the arena index of the child the walk last
+// forwarded to (pick) and the walk's visit count right after that child
+// was stamped (seen), which is all walkEM needs to repair the segment when
+// the walk returns.
+type frame struct {
+	lo, hi     int
+	pick, seen int
 }
 
 // NewMaintainer creates an independent selection/maintenance executor
@@ -67,7 +96,7 @@ func (p *Protocol) NewMaintainer() *Maintainer {
 		p:          p,
 		visited:    make([]uint64, p.net.N()),
 		ineligible: make([]uint64, p.net.N()),
-		rng:        xrand.New(0), // reseeded per (node, round) before use
+		// rng's zero value is reseeded per (node, round) before use.
 	}
 }
 
@@ -141,14 +170,17 @@ func (m *Maintainer) selectContacts(u NodeID, now float64) int {
 	edges := append(m.edges[:0], p.nb.EdgeNodes(u)...)
 	m.edges = edges
 	m.rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	m.ineligReady = false
 	added, failures := 0, 0
 	for _, e := range edges {
 		if t.Len() >= p.cfg.NoC {
 			break
 		}
-		path, exhausted := m.runCSQ(u, e, now)
+		path, exhausted := m.runCSQ(u, e)
 		if path != nil {
-			t.add(Contact{ID: path[len(path)-1], Path: path, SelectedAt: now, LastValidated: now})
+			c := path[len(path)-1]
+			t.add(Contact{ID: c, Path: path, SelectedAt: now, LastValidated: now})
+			m.stampIneligible(c)
 			m.stats.ContactsSelected++
 			added++
 		}
@@ -200,30 +232,38 @@ func (m *Maintainer) maintain(u NodeID, now float64) {
 // Hop distance over an undirected snapshot is symmetric, so
 // (y in N(X)) == (X in N(y)); the union of N(source), N(contact_i) and —
 // for EM — N(edge_j) therefore contains exactly the candidates that would
-// refuse. Precomputing that union once per CSQ replaces O(|Contact_List| +
-// |Edge_List|) membership probes at every visited node with one stamp
-// comparison, without changing the decision each node would make. Marking
-// the sorted member lists costs O(Σ|ball|), independent of N — where the
-// old N-bit set unions made every CSQ pay O(N/64) at 100k nodes.
+// refuse. Precomputing that union replaces O(|Contact_List| + |Edge_List|)
+// membership probes at every visited node with one stamp comparison,
+// without changing the decision each node would make. Marking the sorted
+// member lists costs O(Σ|ball|), independent of N — where the old N-bit
+// set unions made every CSQ pay O(N/64) at 100k nodes.
+//
+// The union is computed once per selectContacts call, at its first CSQ:
+// within a call only an acceptance changes the Contact_List, and the union
+// only grows by the new contact's neighborhood, which stampIneligible adds
+// into the same generation.
 func (m *Maintainer) computeIneligible(u NodeID) {
 	p := m.p
 	m.ineligGen++
-	gen := m.ineligGen
-	for _, x := range p.nb.Members(u) {
-		m.ineligible[x] = gen
-	}
+	m.ineligReady = true
+	m.stampIneligible(u)
 	t := &p.tables[u]
 	for i := 0; i < t.Len(); i++ {
-		for _, x := range p.nb.Members(t.at(i).ID) {
-			m.ineligible[x] = gen
-		}
+		m.stampIneligible(t.at(i).ID)
 	}
 	if p.cfg.Method == EM {
 		for _, e := range p.nb.EdgeNodes(u) {
-			for _, x := range p.nb.Members(e) {
-				m.ineligible[x] = gen
-			}
+			m.stampIneligible(e)
 		}
+	}
+}
+
+// stampIneligible marks x's neighborhood into the current eligibility
+// generation.
+func (m *Maintainer) stampIneligible(x NodeID) {
+	gen := m.ineligGen
+	for _, y := range m.p.nb.Members(x) {
+		m.ineligible[y] = gen
 	}
 }
 
@@ -268,13 +308,16 @@ func (m *Maintainer) accept(x NodeID, d int) bool {
 // CatCSQ; every reverse hop (dead-end retreat, r-shell bounce, and the
 // failure report back to the source) counts as CatBacktrack; the success
 // reply returning the contact path counts as CatCSQ.
-func (m *Maintainer) runCSQ(u, e NodeID, now float64) (path []NodeID, exhausted bool) {
+func (m *Maintainer) runCSQ(u, e NodeID) (path []NodeID, exhausted bool) {
 	m.stats.CSQLaunched++
-	route := m.p.nb.Route(u, e)
-	if route == nil {
+	route := m.p.nb.AppendRoute(m.route[:0], u, e)
+	m.route = route
+	if len(route) == 0 {
 		return nil, false // stale edge information (provider mid-convergence)
 	}
-	m.computeIneligible(u)
+	if !m.ineligReady {
+		m.computeIneligible(u)
+	}
 	m.sendHops(manet.CatCSQ, len(route)-1)
 	if m.p.cfg.Method == EM {
 		return m.walkEM(route)
@@ -283,111 +326,186 @@ func (m *Maintainer) runCSQ(u, e NodeID, now float64) (path []NodeID, exhausted 
 }
 
 // walkEM runs the edge method's loop-free depth-first walk.
+//
+// Each frame from the edge node outward owns a segment of the candidate
+// arena m.cand holding its node's unvisited neighbors in Neighbors order
+// (after the depth rule and the bidirectionality filter), built once when
+// the node is pushed. Frame segments stack in push order, so a child's
+// segment always starts where its parent's ends. When the walk returns to
+// x, x's segment is repaired instead of rescanned: if the visit count
+// still equals the one saved when the child was chosen, the child was the
+// only new visit and its entry is cut out in order; otherwise one filter
+// pass drops everything visited since. Visits only grow within a walk, so
+// the segment always equals what a fresh rescan of x's neighbors would
+// list, and Intn draws the same index from it.
 func (m *Maintainer) walkEM(route []NodeID) ([]NodeID, bool) {
 	m.visitGen++
 	gen := m.visitGen
 	for _, n := range route {
 		m.visited[n] = gen
 	}
+	visits := len(route)
 	stack := append(m.stack[:0], route...)
-	r := m.p.cfg.MaxContactDist
-	directed := m.p.net.Directed()
-	cand := m.cand
+	cand := m.appendCandEM(m.cand[:0], stack)
+	frames := append(m.frames[:0], frame{hi: len(cand)})
 	for {
-		x := stack[len(stack)-1]
-		d := len(stack) - 1
-		cand = cand[:0]
-		if d < r {
-			for _, y := range m.p.net.Neighbors(x) {
-				if m.visited[y] == gen {
-					continue
-				}
-				// Under asymmetric links the walk only advances over
-				// bidirectional hops: the CSQ needs its reply (and every
-				// backtrack) to travel the reverse edge, and a contact
-				// reached one-way would fail its first validation anyway.
-				if directed && !m.p.net.Adjacent(y, x) {
-					continue
-				}
-				cand = append(cand, y)
-			}
-		}
-		if len(cand) == 0 {
+		f := &frames[len(frames)-1]
+		if f.lo == f.hi {
 			// Dead end or depth limit: backtrack one hop. Walking back past
 			// the edge node means the whole region is exhausted — the
 			// failure report continues to the source.
 			m.sendHop(manet.CatBacktrack)
 			stack = stack[:len(stack)-1]
-			if len(stack) < len(route) {
+			frames = frames[:len(frames)-1]
+			if len(frames) == 0 {
 				m.sendHops(manet.CatBacktrack, len(stack)-1)
-				m.stack, m.cand = stack, cand
+				m.stack, m.frames, m.cand = stack, frames, cand
 				return nil, true
 			}
+			f = &frames[len(frames)-1]
+			if visits == f.seen {
+				copy(cand[f.pick:], cand[f.pick+1:f.hi])
+				f.hi--
+			} else {
+				w := f.lo
+				for _, y := range cand[f.lo:f.hi] {
+					if m.visited[y] != gen {
+						cand[w] = y
+						w++
+					}
+				}
+				f.hi = w
+			}
+			cand = cand[:f.hi]
 			continue
 		}
-		y := cand[m.rng.Intn(len(cand))]
+		f.pick = f.lo + m.rng.Intn(f.hi-f.lo)
+		y := cand[f.pick]
 		m.visited[y] = gen
+		visits++
+		f.seen = visits
 		stack = append(stack, y)
 		m.sendHop(manet.CatCSQ)
 		if m.accept(y, len(stack)-1) {
-			m.stack, m.cand = stack, cand
+			m.stack, m.frames, m.cand = stack, frames, cand
 			return m.acceptContact(stack), false
 		}
+		lo := len(cand)
+		cand = m.appendCandEM(cand, stack)
+		frames = append(frames, frame{lo: lo, hi: len(cand)})
 	}
+}
+
+// appendCandEM appends to dst the EM candidates of the walk's current
+// holder (the top of stack): its unvisited neighbors, in Neighbors order,
+// none at all once the walk is r hops out.
+func (m *Maintainer) appendCandEM(dst, stack []NodeID) []NodeID {
+	if len(stack)-1 >= m.p.cfg.MaxContactDist {
+		return dst
+	}
+	out, in := m.hops(stack[len(stack)-1])
+	j := 0
+	for _, y := range out {
+		if in != nil && !inSorted(in, &j, y) {
+			continue
+		}
+		if m.visited[y] != m.visitGen {
+			dst = append(dst, y)
+		}
+	}
+	return dst
+}
+
+// hops returns the lists a walk at x draws its next hop from: x's
+// neighbors, and — on directed snapshots — x's in-neighbors, which the
+// next hop must also be. Under asymmetric links the walks only advance
+// over bidirectional hops: the CSQ needs its reply (and every backtrack)
+// to travel the reverse edge, and a contact reached one-way would fail
+// its first validation anyway. in is nil on undirected snapshots.
+func (m *Maintainer) hops(x NodeID) (out, in []NodeID) {
+	g := m.p.net.Graph()
+	if !m.p.net.Directed() {
+		return g.Neighbors(x), nil
+	}
+	return g.Neighbors(x), g.InNeighbors(x)
+}
+
+// inSorted reports whether y is in the ascending list in, advancing the
+// merge cursor *j; successive calls must pass ascending y.
+func inSorted(in []NodeID, j *int, y NodeID) bool {
+	for *j < len(in) && in[*j] < y {
+		*j++
+	}
+	return *j < len(in) && in[*j] == y
 }
 
 // walkPM runs the probabilistic methods' memoryless walk: forward to a
 // random neighbor other than the parent, bounce off the r-hop shell, and
 // give up when the per-query step budget is gone.
+//
+// Frames work as in walkEM, but PM candidates depend only on the holder,
+// its parent and its depth — all fixed for the frame's lifetime — so a
+// frame's segment is reused unchanged every time the walk returns to it.
 func (m *Maintainer) walkPM(route []NodeID) ([]NodeID, bool) {
 	stack := append(m.stack[:0], route...)
-	r := m.p.cfg.MaxContactDist
-	directed := m.p.net.Directed()
 	budget := m.csqBudget()
-	cand := m.cand
+	cand := m.appendCandPM(m.cand[:0], stack)
+	frames := append(m.frames[:0], frame{hi: len(cand)})
 	for budget > 0 {
-		x := stack[len(stack)-1]
-		d := len(stack) - 1
-		parent := stack[len(stack)-2] // route has >= 2 nodes, stack never shrinks below it
-		cand = cand[:0]
-		if d < r {
-			for _, y := range m.p.net.Neighbors(x) {
-				if y == parent {
-					continue
-				}
-				// Same bidirectionality requirement as the EM walk.
-				if directed && !m.p.net.Adjacent(y, x) {
-					continue
-				}
-				cand = append(cand, y)
-			}
-		}
-		if len(cand) == 0 {
+		f := frames[len(frames)-1]
+		if f.lo == f.hi {
 			// r-shell bounce or dead end: backtrack one hop.
 			m.sendHop(manet.CatBacktrack)
 			budget--
 			stack = stack[:len(stack)-1]
-			if len(stack) < len(route) {
+			frames = frames[:len(frames)-1]
+			if len(frames) == 0 {
 				m.sendHops(manet.CatBacktrack, len(stack)-1)
-				m.stack, m.cand = stack, cand
+				m.stack, m.frames, m.cand = stack, frames, cand
 				return nil, true
 			}
+			cand = cand[:frames[len(frames)-1].hi]
 			continue
 		}
-		y := cand[m.rng.Intn(len(cand))]
+		y := cand[f.lo+m.rng.Intn(f.hi-f.lo)]
 		stack = append(stack, y)
 		m.sendHop(manet.CatCSQ)
 		budget--
 		if m.accept(y, len(stack)-1) {
-			m.stack, m.cand = stack, cand
+			m.stack, m.frames, m.cand = stack, frames, cand
 			return m.acceptContact(stack), false
 		}
+		cand = m.appendCandPM(cand, stack)
+		frames = append(frames, frame{lo: f.hi, hi: len(cand)})
 	}
 	// Budget exhausted mid-walk: the query dies and the current holder
 	// reports failure back along the walk path.
 	m.sendHops(manet.CatBacktrack, len(stack)-1)
-	m.stack, m.cand = stack, cand
+	m.stack, m.frames, m.cand = stack, frames, cand
 	return nil, true
+}
+
+// appendCandPM appends to dst the PM candidates of the walk's current
+// holder: its neighbors other than its parent on the stack (the route has
+// at least two nodes and the stack never shrinks below it), in Neighbors
+// order, none at all once the walk is r hops out. The hop lists are those
+// of the EM walk (see hops).
+func (m *Maintainer) appendCandPM(dst, stack []NodeID) []NodeID {
+	if len(stack)-1 >= m.p.cfg.MaxContactDist {
+		return dst
+	}
+	parent := stack[len(stack)-2]
+	out, in := m.hops(stack[len(stack)-1])
+	j := 0
+	for _, y := range out {
+		if in != nil && !inSorted(in, &j, y) {
+			continue
+		}
+		if y != parent {
+			dst = append(dst, y)
+		}
+	}
+	return dst
 }
 
 // csqBudget is the PM walk's transmission budget: twice the network size,
@@ -470,8 +588,9 @@ func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 			if !p.nb.Contains(cur, old[j]) {
 				continue
 			}
-			sub := p.nb.Route(cur, old[j])
-			if sub == nil {
+			sub := p.nb.AppendRoute(m.route[:0], cur, old[j])
+			m.route = sub
+			if len(sub) == 0 {
 				continue
 			}
 			m.sendHops(manet.CatRecovery, len(sub)-1)

@@ -366,28 +366,37 @@ func (d *DSDV) Dist(u, x NodeID) int {
 // forwarded; during convergence the chain may be inconsistent, in which
 // case nil is returned.
 func (d *DSDV) Route(u, x NodeID) []NodeID {
+	if r := d.AppendRoute(nil, u, x); len(r) > 0 {
+		return r
+	}
+	return nil
+}
+
+// AppendRoute implements Provider (see Route).
+func (d *DSDV) AppendRoute(dst []NodeID, u, x NodeID) []NodeID {
 	if u == x {
-		return []NodeID{u}
+		return append(dst, u)
 	}
 	e, ok := d.tables[u][x]
 	if !ok || !d.entryLive(e) {
-		return nil
+		return dst
 	}
-	path := []NodeID{u}
+	n := len(dst)
+	dst = append(dst, u)
 	cur := u
 	for steps := 0; steps <= d.r+1; steps++ {
 		ce, ok := d.tables[cur][x]
 		if !ok || !d.entryLive(ce) {
-			return nil
+			return dst[:n]
 		}
 		nxt := ce.next
-		path = append(path, nxt)
+		dst = append(dst, nxt)
 		if nxt == x {
-			return path
+			return dst
 		}
 		cur = nxt
 	}
-	return nil // loop or over-length chain: not converged
+	return dst[:n] // loop or over-length chain: not converged
 }
 
 // EdgeNodes implements Provider.

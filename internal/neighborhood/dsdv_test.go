@@ -222,6 +222,9 @@ func TestDSDVRouteDuringNonConvergenceIsNilNotWrong(t *testing.T) {
 	if r := d.Route(0, 3); r != nil {
 		t.Errorf("route before convergence = %v, want nil", r)
 	}
+	if r := d.AppendRoute([]NodeID{7}, 0, 3); len(r) != 1 || r[0] != 7 {
+		t.Errorf("AppendRoute before convergence = %v, want the buffer unchanged", r)
+	}
 	if r := d.Route(2, 2); len(r) != 1 || r[0] != 2 {
 		t.Errorf("self route = %v", r)
 	}

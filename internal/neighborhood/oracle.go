@@ -278,24 +278,31 @@ func (o *Oracle) Dist(u, x NodeID) int {
 }
 
 // Route implements Provider.
-func (o *Oracle) Route(u, x NodeID) []NodeID { return o.view(u).route(x) }
+func (o *Oracle) Route(u, x NodeID) []NodeID { return o.view(u).appendRoute(nil, x) }
 
-// route reconstructs the BFS path to x by chaining parents (nil if x is
-// outside the ball).
-func (v *oracleView) route(x NodeID) []NodeID {
+// AppendRoute implements Provider.
+func (o *Oracle) AppendRoute(dst []NodeID, u, x NodeID) []NodeID {
+	return o.view(u).appendRoute(dst, x)
+}
+
+// appendRoute appends the BFS path to x, reconstructed by chaining
+// parents, to dst (dst unchanged if x is outside the ball).
+func (v *oracleView) appendRoute(dst []NodeID, x NodeID) []NodeID {
 	i := v.find(x)
 	if i < 0 {
-		return nil
+		return dst
 	}
 	d := int(v.dist[i])
-	path := make([]NodeID, d+1)
+	n := len(dst)
+	dst = slices.Grow(dst, d+1)[:n+d+1]
+	path := dst[n:]
 	path[d] = x
 	for j := d; j > 0; j-- {
 		p := v.parent[i]
 		path[j-1] = p
 		i = v.find(p)
 	}
-	return path
+	return dst
 }
 
 // EdgeNodes implements Provider.

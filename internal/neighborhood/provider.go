@@ -45,6 +45,10 @@ type Provider interface {
 	// Route returns an intra-neighborhood route u→x inclusive of both
 	// endpoints, or nil if x is outside u's neighborhood.
 	Route(u, x NodeID) []NodeID
+	// AppendRoute appends Route(u, x) to dst and returns the extended
+	// slice, or dst unchanged if there is no route. It is the
+	// allocation-free form of Route for callers that reuse a buffer.
+	AppendRoute(dst []NodeID, u, x NodeID) []NodeID
 	// EdgeNodes returns the nodes at exactly R hops from u ("edge nodes"
 	// in the paper). The slice is owned by the provider; do not mutate.
 	EdgeNodes(u NodeID) []NodeID

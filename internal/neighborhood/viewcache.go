@@ -248,7 +248,12 @@ func (c *ViewCache) Dist(u, x NodeID) int {
 }
 
 // Route implements Provider.
-func (c *ViewCache) Route(u, x NodeID) []NodeID { return c.view(u).route(x) }
+func (c *ViewCache) Route(u, x NodeID) []NodeID { return c.view(u).appendRoute(nil, x) }
+
+// AppendRoute implements Provider.
+func (c *ViewCache) AppendRoute(dst []NodeID, u, x NodeID) []NodeID {
+	return c.view(u).appendRoute(dst, x)
+}
 
 // EdgeNodes implements Provider.
 func (c *ViewCache) EdgeNodes(u NodeID) []NodeID { return c.view(u).edges }

@@ -42,6 +42,14 @@ func checkProvidersAgree(t *testing.T, a, b Provider, n int) {
 			if got, want := b.Route(u, x), a.Route(u, x); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Route(%d,%d): %v vs %v", u, x, got, want)
 			}
+			// AppendRoute extends a caller's buffer by exactly Route.
+			for _, p := range []Provider{a, b} {
+				prefix := NodeID(n)
+				got := p.AppendRoute([]NodeID{prefix}, u, x)
+				if want := append([]NodeID{prefix}, p.Route(u, x)...); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%T.AppendRoute(%d,%d): %v, want %v", p, u, x, got, want)
+				}
+			}
 		}
 	}
 }
