@@ -2,6 +2,8 @@ package card
 
 import (
 	"testing"
+
+	"card/internal/topology/topotest"
 )
 
 func newSim(t *testing.T, nc NetworkConfig, cfg Config) *Simulation {
@@ -232,28 +234,39 @@ func TestDSDVSubstrateUnderMobility(t *testing.T) {
 }
 
 // TestScale1kTopologyEquivalence is the correctness half of the scaling
-// acceptance bar (the speed half lives in BenchmarkScale1k*): the 1000-node
-// random-waypoint scenario with 500 batched queries produces bit-identical
-// QueryResults and message accounting on the spatial-grid engine and on the
-// O(N²) rebuild path for equal seeds.
+// acceptance bar (the speed half lives in BenchmarkScale1kGrid): across
+// the 1000-node random-waypoint scenario — warm-up and the 20 Hz sensing
+// window — every snapshot the incremental builder produces equals the
+// O(N²) all-pairs reference over the network's positions, mask and link
+// model, so the 500-query batch runs on exactly the reference topology.
 func TestScale1kTopologyEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1k-node naive-topology run is slow")
+		t.Skip("1k-node reference-topology run is slow")
 	}
-	grid := newScale1k(t, SpatialGrid)
-	naive := newScale1k(t, NaiveRebuild)
-	resG := runScale1k(t, grid, 30)
-	resN := runScale1k(t, naive, 30)
-	if len(resG) != len(resN) {
-		t.Fatalf("result counts differ: %d vs %d", len(resG), len(resN))
+	nc, cfg := scale1kScenario()
+	sim, err := NewSimulation(nc, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range resG {
-		if resG[i] != resN[i] {
-			t.Fatalf("query %d differs: grid %+v, naive %+v", i, resG[i], resN[i])
+	net := sim.Engine().Network()
+	check := func() {
+		t.Helper()
+		if err := topotest.Diff(topotest.NaiveOf(net), net.Graph()); err != nil {
+			t.Fatalf("t=%v: %v", sim.Now(), err)
 		}
 	}
-	if grid.Messages() != naive.Messages() {
-		t.Errorf("accounting differs:\n grid  %+v\n naive %+v", grid.Messages(), naive.Messages())
+	check()
+	sim.SelectContacts()
+	for sim.Now() < 900 {
+		sim.Advance(1)
+		check()
+	}
+	for target := sim.Now() + 30; sim.Now() < target; {
+		sim.Advance(0.05)
+		check()
+	}
+	if res := sim.BatchQuery(sim.RandomPairs(500, 77)); len(res) != 500 {
+		t.Fatalf("%d results for 500 pairs", len(res))
 	}
 }
 

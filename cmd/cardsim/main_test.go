@@ -73,3 +73,34 @@ func TestListAndPresetsExitZero(t *testing.T) {
 		t.Errorf("-list output does not include fig3:\n%s", out.String())
 	}
 }
+
+// TestNonFiniteOverridesExitOne pins that NaN and ±Inf numeric overrides
+// are rejected with exit 1 before anything runs. NaN passes every range
+// comparison, so without the check -loss NaN would silently run the
+// preset's own loss and -horizon Inf would never finish.
+func TestNonFiniteOverridesExitOne(t *testing.T) {
+	for _, tc := range [][]string{
+		{"-scale", "NaN"},
+		{"-loss", "NaN"},
+		{"-rangespread", "NaN"},
+		{"-rangespread", "Inf"},
+		{"-zipf", "NaN"},
+		{"-qps", "NaN"},
+		{"-qps", "+Inf"},
+		{"-horizon", "Inf"},
+		{"-tx", "-Inf"},
+	} {
+		var out, errw strings.Builder
+		args := append([]string{"-preset", "citywide-rwp-1k"}, tc...)
+		if code := run(args, &out, &errw); code != 1 {
+			t.Errorf("run(%v) = exit %d, want 1\nstderr: %s", tc, code, errw.String())
+			continue
+		}
+		if want := tc[0] + " must be a finite number"; !strings.Contains(errw.String(), want) {
+			t.Errorf("run(%v): stderr %q does not say %q", tc, errw.String(), want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) ran anyway:\n%s", tc, out.String())
+		}
+	}
+}

@@ -114,8 +114,7 @@ func churnedClique(t *testing.T, n int) (*manet.Network, *Protocol) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := manet.NewWithChurn(mobility.NewStatic(pts, area), 15, xrand.New(8),
-		manet.IncrementalTopology, churn)
+	net := manet.NewWithChurn(mobility.NewStatic(pts, area), 15, xrand.New(8), churn)
 	cfg := Config{R: 1, MaxContactDist: 3, NoC: 2, Method: EM}
 	p := newProtocol(t, net, cfg, 76)
 	for tick := 1; tick <= 400; tick++ {

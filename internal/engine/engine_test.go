@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	proto "card/internal/card"
+	"card/internal/topology/topotest"
 )
 
 func testNet(nodes int) NetworkConfig {
@@ -98,39 +103,109 @@ func TestAdvanceDriftFree(t *testing.T) {
 	}
 }
 
-// TestTopologyKindsGiveIdenticalRuns runs the same mobile scenario under
-// the incremental, full-rebuild and naive topology paths and demands
-// bit-identical protocol behavior: same selections, same message totals,
-// same query results for the same seeds.
+// TestTopologyKindsGiveIdenticalRuns runs scenarios with dirty
+// maintenance (which retains neighborhood views across refreshes) and
+// checks after every refresh that the builder's snapshot equals the
+// all-pairs reference over the network's positions, mask and link model,
+// and that every view the substrate serves equals a fresh BFS over it —
+// under both the resident Oracle and the capped ViewCache. The mobile arm
+// drives full rebuilds (most of the fleet moves every refresh); the
+// churned arms drive incremental updates, whose adjacency diff decides
+// which views are kept, scalar and directed (range spread plus
+// partition-and-heal barrier toggles).
 func TestTopologyKindsGiveIdenticalRuns(t *testing.T) {
-	run := func(kind TopologyKind) ([]proto.QueryResult, MessageCounts, float64) {
-		nc := testNet(250)
-		nc.Mobility = RandomWaypoint
-		nc.MinSpeed, nc.MaxSpeed, nc.Pause = 1, 10, 4
-		nc.Topology = kind
-		e := newEngine(t, nc, testCfg())
-		e.SelectContacts()
-		e.Advance(5.5)
-		pairs := e.RandomPairs(60, 99)
-		res := e.BatchQuery(pairs)
-		return res, e.Messages(), e.MeanReachability(1)
+	scenarios := map[string]func(*NetworkConfig){
+		"mobile": func(nc *NetworkConfig) {
+			nc.Mobility = RandomWaypoint
+			nc.MinSpeed, nc.MaxSpeed, nc.Pause = 1, 10, 4
+		},
+		"churn": func(nc *NetworkConfig) { nc.ChurnMeanUp, nc.ChurnMeanDown = 20, 5 },
+		"churn-directed": func(nc *NetworkConfig) {
+			nc.ChurnMeanUp, nc.ChurnMeanDown = 20, 5
+			nc.RangeSpread = 0.4
+			nc.PartitionPeriod, nc.PartitionDuration = 5, 2
+		},
 	}
-	incRes, incMsg, incReach := run(SpatialGrid)
-	fullRes, fullMsg, fullReach := run(FullRebuild)
-	naiveRes, naiveMsg, naiveReach := run(NaiveRebuild)
-	if incMsg != fullMsg || fullMsg != naiveMsg {
-		t.Errorf("message totals diverge:\n inc   %+v\n full  %+v\n naive %+v", incMsg, fullMsg, naiveMsg)
-	}
-	if incReach != fullReach || fullReach != naiveReach {
-		t.Errorf("reachability diverges: %v %v %v", incReach, fullReach, naiveReach)
-	}
-	if len(incRes) != len(fullRes) || len(fullRes) != len(naiveRes) {
-		t.Fatalf("result counts diverge: %d %d %d", len(incRes), len(fullRes), len(naiveRes))
-	}
-	for i := range incRes {
-		if incRes[i] != fullRes[i] || fullRes[i] != naiveRes[i] {
-			t.Fatalf("query %d diverges:\n inc   %+v\n full  %+v\n naive %+v", i, incRes[i], fullRes[i], naiveRes[i])
+	for _, name := range []string{"mobile", "churn", "churn-directed"} {
+		for _, cacheCap := range []int{0, 64} {
+			nc := testNet(250)
+			scenarios[name](&nc)
+			nc.DirtyMaintenance = true
+			nc.ViewCacheCap = cacheCap
+			cfg := testCfg()
+			e := newEngine(t, nc, cfg)
+			e.SelectContacts()
+			// Steps of half a validation period land on every maintenance
+			// boundary, so every refresh is followed by a check.
+			for step := 1; step <= 12; step++ {
+				e.Advance(cfg.ValidatePeriod / 2)
+				net := e.Network()
+				if err := topotest.Diff(topotest.NaiveOf(net), net.Graph()); err != nil {
+					t.Fatalf("%s cap %d, t=%v: %v", name, cacheCap, e.Now(), err)
+				}
+				checkViewsFresh(t, e)
+			}
 		}
+	}
+}
+
+// checkViewsFresh compares every node's neighborhood view with a fresh
+// R-bounded BFS over the current snapshot: members, hop distances and
+// edge nodes (in BFS discovery order).
+func checkViewsFresh(t *testing.T, e *Engine) {
+	t.Helper()
+	g, nb, r := e.Network().Graph(), e.Neighborhood(), e.Config().R
+	for i := 0; i < g.N(); i++ {
+		u := NodeID(i)
+		bfs := g.BoundedBFS(u, r)
+		members := slices.Clone(bfs.Visited)
+		slices.Sort(members)
+		var edges []NodeID
+		for _, v := range bfs.Visited {
+			if int(bfs.Dist[v]) == r {
+				edges = append(edges, v)
+			}
+		}
+		if got := nb.Members(u); !slices.Equal(got, members) {
+			t.Fatalf("t=%v node %d: view members %v, fresh BFS %v", e.Now(), u, got, members)
+		}
+		if got := nb.EdgeNodes(u); !slices.Equal(got, edges) {
+			t.Fatalf("t=%v node %d: view edge nodes %v, fresh BFS %v", e.Now(), u, got, edges)
+		}
+		for _, v := range members {
+			if got := nb.Dist(u, v); got != int(bfs.Dist[v]) {
+				t.Fatalf("t=%v node %d: view dist to %d = %d, fresh BFS %d", e.Now(), u, v, got, bfs.Dist[v])
+			}
+		}
+	}
+}
+
+// TestNetworkConfigRejectsNonFinite pins that NaN and ±Inf in any float
+// field of NetworkConfig fail construction instead of running a
+// degenerate (typically linkless) field: range checks written as
+// comparisons let NaN through on their own.
+func TestNetworkConfigRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(NetworkConfig{})
+	fields := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		fields++
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			nc := testNet(40)
+			reflect.ValueOf(&nc).Elem().Field(i).SetFloat(bad)
+			_, err := New(nc, testCfg())
+			if err == nil {
+				t.Errorf("%s = %v accepted", f.Name, bad)
+			} else if !strings.Contains(err.Error(), f.Name) {
+				t.Errorf("%s = %v: error %q does not name the field", f.Name, bad, err)
+			}
+		}
+	}
+	if fields < 20 {
+		t.Fatalf("only %d float fields found; the table no longer covers NetworkConfig", fields)
 	}
 }
 

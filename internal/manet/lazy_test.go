@@ -21,7 +21,7 @@ func TestRefreshZeroWorkWhilePaused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewWithMode(m, 100, xrand.New(3), IncrementalTopology)
+	n := New(m, 100, xrand.New(3))
 	if w := m.PositionWork(); w != 0 {
 		t.Fatalf("building the network performed %d position work", w)
 	}

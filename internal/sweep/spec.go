@@ -277,7 +277,9 @@ func parseValue(d axisDef, s string) (float64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	// NaN passes the axes' range comparisons and would silently keep the
+	// scenario's own value; neither it nor ±Inf is a sweep point.
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("sweep: axis %s: bad value %q", d.canon, s)
 	}
 	if err := d.check(v); err != nil {

@@ -63,6 +63,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"NoC=1..3;noc=2", // duplicate axis (checked by Validate below)
 		"NoC=x",          // unparseable
 		"r=8..16..2..1",  // too many range parts
+		"Loss=NaN",       // non-finite value
+		"RangeSpread=0,NaN",
+		"VP=Inf",
 	} {
 		axes, err := ParseSpec(bad)
 		if err == nil {

@@ -6,76 +6,38 @@ import (
 	"card/internal/geom"
 )
 
-// BuildNaive constructs the same unit-disk graph as Build with the
-// textbook O(N²) all-pairs scan. It exists as the reference
-// implementation: the grid and incremental builders must produce
-// byte-identical adjacency, and the scaling benchmarks measure against it.
-func BuildNaive(pos []geom.Point, area geom.Rect, txRange float64) *Graph {
-	return BuildNaiveMasked(pos, area, txRange, nil)
-}
-
-// BuildNaiveMasked is BuildNaive with the node-exclusion mask of
-// BuildMasked; it is the correctness reference for churned topologies.
-func BuildNaiveMasked(pos []geom.Point, area geom.Rect, txRange float64, down []bool) *Graph {
-	if txRange <= 0 {
-		panic("topology: non-positive transmission range")
-	}
-	g := &Graph{
-		pos:  append([]geom.Point(nil), pos...),
-		area: area,
-		rng:  txRange,
-		adj:  make([][]NodeID, len(pos)),
-	}
-	r2 := txRange * txRange
-	for i := range g.pos {
-		if isDown(down, i) {
-			continue
-		}
-		for j := i + 1; j < len(g.pos); j++ {
-			if isDown(down, j) {
-				continue
-			}
-			if g.pos[i].Dist2(g.pos[j]) <= r2 {
-				// Ascending append on both sides keeps adjacency sorted
-				// without an explicit sort pass.
-				g.adj[i] = append(g.adj[i], NodeID(j))
-				g.adj[j] = append(g.adj[j], NodeID(i))
-				g.links++
-			}
-		}
-	}
-	return g
-}
-
-// Builder maintains a unit-disk graph across position updates. Unlike
-// Build, which re-buckets and re-scans every node on every snapshot, a
-// Builder keeps its spatial-hash grid and adjacency lists alive between
-// updates and reprocesses only the nodes that actually moved (plus their
-// old and new neighbors). With m moved nodes of mean degree d an update
-// costs O(m·d) instead of O(N·d), which is what makes slow-churn scenarios
-// (pausing waypoints, static sensor fields with a few mobile collectors)
-// cheap at thousands of nodes.
+// Builder is the only way a connectivity snapshot is built. It keeps its
+// spatial-hash grid and adjacency lists alive between updates and
+// reprocesses only the nodes that moved or flipped up/down state (plus
+// their old and new neighbors). With m moved nodes of mean degree d an
+// update costs O(m·d) instead of the O(N·d) of a from-scratch build,
+// which is what makes slow-churn scenarios (pausing waypoints, static
+// sensor fields with a few mobile collectors) cheap at any size. The first
+// update, a partition toggle, and mass movement fall back to a full grid
+// scan.
 //
-// The Graph returned by Update aliases the Builder's internal storage and
-// is invalidated by the next Update call. That matches how the simulator
+// One body serves every link model. Out-lists always come from one grid
+// scan under the node's own range, filtered by the barrier. A directed
+// model (per-node ranges or a configured barrier) also keeps in-lists,
+// rescanned for moved nodes; under a plain uniform range the graph is
+// undirected, in stays nil (Graph.InNeighbors returns the out-list), and
+// the out-diff patches a stationary endpoint's own list.
+//
+// The Graph returned by an update aliases the Builder's internal storage
+// and is invalidated by the next update. That matches how the simulator
 // consumes snapshots — protocols re-fetch the graph from the network after
 // every refresh, keyed by epoch — and avoids re-allocating O(N·d)
 // adjacency every topology refresh.
 type Builder struct {
 	area geom.Rect
-	// lm is the link model; txRange caches lm.Max() (the grid cell size,
-	// and the only range in scalar mode).
+	// lm is the link model; txRange caches lm.Max(), the grid cell size.
 	lm      LinkModel
 	txRange float64
-	// directed mirrors !lm.scalar(): per-node ranges or a configured
-	// barrier switch the builder into directed mode, where in-adjacency
-	// is maintained alongside out-adjacency.
-	directed bool
-	grid     *geom.Grid
-	pos      []geom.Point
-	adj      [][]NodeID
-	in       [][]NodeID // in-adjacency; nil unless directed
-	links    int
+	grid    *geom.Grid
+	pos     []geom.Point
+	adj     [][]NodeID
+	in      [][]NodeID // in-adjacency; nil for an undirected (scalar) model
+	links   int
 	// adjTotal is the out-degree sum Σ len(adj[i]) (= 2·links undirected,
 	// = links directed), maintained as a delta by the incremental path so
 	// updates never pay an O(N) recount.
@@ -86,7 +48,7 @@ type Builder struct {
 	barrierDirty bool
 
 	// down mirrors the exclusion mask of the last update: down nodes live
-	// outside the grid and carry no links (see UpdateMasked).
+	// outside the grid and carry no links.
 	down []bool
 
 	// Generation-stamped scratch: avoids clearing O(N) marker arrays on
@@ -95,7 +57,7 @@ type Builder struct {
 	movedStamp []uint64
 	moved      []NodeID
 	newAdj     []NodeID
-	newIn      []NodeID // directed-mode scratch for rescanned in-lists
+	newIn      []NodeID // rescanned in-list of a moved node (directed only)
 
 	// Changed-adjacency tracking for dirty-set consumers (engine
 	// maintenance rounds, oracle view retention): after each update,
@@ -114,32 +76,25 @@ type Builder struct {
 // full rebuild until well past half the fleet moving at once.
 const fullRebuildFraction = 0.6
 
-// NewBuilder creates an incremental builder for n nodes over area with the
-// given transmission range. The first Update performs a full build.
-func NewBuilder(n int, area geom.Rect, txRange float64) *Builder {
-	return NewBuilderLink(n, area, LinkModel{Uniform: txRange})
-}
-
-// NewBuilderLink creates an incremental builder for an arbitrary link
-// model. A plain uniform range runs the scalar (undirected) machinery
-// unchanged; per-node ranges or a configured barrier run the directed
-// machinery, bucketing by the maximum range and maintaining in- and
-// out-adjacency incrementally.
-func NewBuilderLink(n int, area geom.Rect, lm LinkModel) *Builder {
+// NewBuilder creates a builder for n nodes over area under the link model
+// lm, which it validates (panicking on a malformed one). The first update
+// performs a full build.
+func NewBuilder(n int, area geom.Rect, lm LinkModel) *Builder {
 	lm.validate(n)
 	b := &Builder{
 		area:         area,
 		lm:           lm,
 		txRange:      lm.Max(),
-		directed:     !lm.scalar(),
 		pos:          make([]geom.Point, n),
 		adj:          make([][]NodeID, n),
 		down:         make([]bool, n),
 		movedStamp:   make([]uint64, n),
 		changedStamp: make([]uint64, n),
 	}
+	// Bucket by the maximum range: a one-ring scan around any node then
+	// covers every candidate within any node's radius.
 	b.grid = geom.NewGrid(area, b.txRange)
-	if b.directed {
+	if !lm.scalar() {
 		b.in = make([][]NodeID, n)
 	}
 	return b
@@ -158,67 +113,40 @@ func (b *Builder) SetBarrier(active bool) {
 	b.barrierDirty = true
 }
 
-// N returns the number of nodes the builder tracks.
-func (b *Builder) N() int { return len(b.pos) }
-
-// Update brings the graph to the given positions (length must equal N) and
-// returns the refreshed snapshot. The snapshot aliases builder storage and
-// is invalidated by the next Update.
-func (b *Builder) Update(pos []geom.Point) *Graph { return b.UpdateMasked(pos, nil) }
-
-// UpdateMasked is Update with a node-exclusion mask (see BuildMasked): a
-// node with down[i] true holds no links until it comes back up. State
-// flips are handled incrementally like movement — a node going down is
-// pulled from the grid and its neighbors' lists are patched; a node coming
-// back up is re-inserted at its current position and rescanned — so churn
-// costs O(flipped·degree) per refresh, not a rebuild. A nil mask means
-// every node is up.
-func (b *Builder) UpdateMasked(pos []geom.Point, down []bool) *Graph {
-	if len(pos) != len(b.pos) {
-		panic("topology: Builder.Update with mismatched position count")
-	}
-	if down != nil && len(down) != len(b.pos) {
-		panic("topology: Builder.Update with mismatched mask length")
-	}
-	b.changed, b.changedAll = b.changed[:0], false
-	if !b.built || b.barrierDirty {
-		b.fullBuild(pos, down)
-		b.built = true
-		return b.snapshot()
-	}
-	// Dirty set: nodes that moved or flipped up/down state.
-	b.moved = b.moved[:0]
-	for i, p := range pos {
-		if p != b.pos[i] || isDown(down, i) != b.down[i] {
-			b.moved = append(b.moved, NodeID(i))
-		}
-	}
-	if len(b.moved) == 0 {
-		return b.snapshot()
-	}
-	if float64(len(b.moved)) > fullRebuildFraction*float64(len(pos)) {
-		b.fullBuild(pos, down)
-		return b.snapshot()
-	}
-	b.incremental(pos, down)
-	return b.snapshot()
+// Update brings the graph to the given positions (length N) and
+// node-exclusion mask, finding the moved nodes itself by comparing every
+// position and mask bit — O(N) even when nothing moved. A node with
+// down[i] true takes part in no links (its lists are empty and no other
+// node lists it), modeling a churned-out device whose radio is off while
+// its id and position persist; a nil mask means every node is up. The
+// returned snapshot aliases builder storage and is invalidated by the next
+// update.
+func (b *Builder) Update(pos []geom.Point, down []bool) *Graph {
+	return b.update(pos, down, nil, true)
 }
 
-// UpdateDirtyMasked is UpdateMasked for callers that already know which
-// nodes may have moved or flipped up/down state — a lazy mobility stepper
-// (mobility.Stepper) reporting its moved list plus the churn flips. The
-// O(N) position-compare scan is skipped entirely: only the listed nodes
-// are checked, so a refresh where nothing moved costs O(1). dirty must be
-// a superset of the nodes whose position or mask state changed since the
-// previous update (duplicates are fine; entries that turn out unchanged
-// are filtered here, keeping the moved set — and the full-rebuild
-// fallback decision — identical to what the scanning path would compute).
-func (b *Builder) UpdateDirtyMasked(pos []geom.Point, down []bool, dirty []NodeID) *Graph {
+// UpdateMoved is Update for callers that already know which nodes may have
+// moved or flipped up/down state — a lazy mobility stepper
+// (mobility.Stepper) reporting its moved list plus the churn flips. Only
+// the listed nodes are checked, so a refresh where nothing moved costs
+// O(1), whether moved is nil or empty. moved must be a superset of the
+// nodes whose position or mask state changed since the previous update
+// (duplicates are fine; entries that turn out unchanged are filtered
+// here, keeping the moved set — and the full-rebuild fallback decision —
+// identical to what Update would compute).
+func (b *Builder) UpdateMoved(pos []geom.Point, down []bool, moved []NodeID) *Graph {
+	return b.update(pos, down, moved, false)
+}
+
+// update is the single body behind Update and UpdateMoved: scanAll
+// selects whether the moved set comes from comparing every node or from
+// filtering the caller's list.
+func (b *Builder) update(pos []geom.Point, down []bool, moved []NodeID, scanAll bool) *Graph {
 	if len(pos) != len(b.pos) {
-		panic("topology: Builder.Update with mismatched position count")
+		panic("topology: Builder update with mismatched position count")
 	}
 	if down != nil && len(down) != len(b.pos) {
-		panic("topology: Builder.Update with mismatched mask length")
+		panic("topology: Builder update with mismatched mask length")
 	}
 	b.changed, b.changedAll = b.changed[:0], false
 	if !b.built || b.barrierDirty {
@@ -226,30 +154,35 @@ func (b *Builder) UpdateDirtyMasked(pos []geom.Point, down []bool, dirty []NodeI
 		b.built = true
 		return b.snapshot()
 	}
-	b.gen++
-	gen := b.gen
 	b.moved = b.moved[:0]
-	for _, m := range dirty {
-		if b.movedStamp[m] == gen {
-			continue // duplicate in the caller's list
+	if scanAll {
+		for i, p := range pos {
+			if p != b.pos[i] || isDown(down, i) != b.down[i] {
+				b.moved = append(b.moved, NodeID(i))
+			}
 		}
-		if pos[m] != b.pos[m] || isDown(down, int(m)) != b.down[m] {
-			b.movedStamp[m] = gen
-			b.moved = append(b.moved, NodeID(m))
+	} else {
+		b.gen++
+		for _, m := range moved {
+			if b.movedStamp[m] != b.gen && (pos[m] != b.pos[m] || isDown(down, int(m)) != b.down[m]) {
+				b.movedStamp[m] = b.gen // dedupes the caller's list
+				b.moved = append(b.moved, m)
+			}
 		}
 	}
-	if len(b.moved) == 0 {
-		return b.snapshot()
-	}
-	if float64(len(b.moved)) > fullRebuildFraction*float64(len(pos)) {
+	switch {
+	case len(b.moved) == 0:
+	case float64(len(b.moved)) > fullRebuildFraction*float64(len(pos)):
 		b.fullBuild(pos, down)
-		return b.snapshot()
+	default:
+		b.incremental(pos, down)
 	}
-	b.incremental(pos, down)
 	return b.snapshot()
 }
 
 // fullBuild rebuilds grid and adjacency from scratch (reusing storage).
+// In-lists are derived from the out-lists in one ascending pass, which
+// leaves them sorted without a sort.
 func (b *Builder) fullBuild(pos []geom.Point, down []bool) {
 	b.barrierDirty = false
 	copy(b.pos, pos)
@@ -262,91 +195,98 @@ func (b *Builder) fullBuild(pos []geom.Point, down []bool) {
 			b.grid.Insert(int32(i), p)
 		}
 	}
-	if b.directed {
-		b.fullScanDirected()
-	} else {
-		b.fullScanScalar()
+	b.adjTotal = 0
+	for i := range b.adj {
+		u := NodeID(i)
+		adj := b.adj[u][:0]
+		if !b.down[u] {
+			adj = b.scanOut(u, adj)
+		}
+		b.adj[u] = adj
+		b.adjTotal += len(adj)
 	}
-	b.recountLinks()
+	if b.in != nil {
+		for i := range b.in {
+			b.in[i] = b.in[i][:0]
+		}
+		for u := range b.adj {
+			for _, v := range b.adj[u] {
+				b.in[v] = append(b.in[v], NodeID(u))
+			}
+		}
+	}
+	b.countLinks()
 	b.changedAll = true
 }
 
-// fullScanScalar rescans every node's adjacency under the uniform range.
-func (b *Builder) fullScanScalar() {
-	r2 := b.txRange * b.txRange
-	for i, p := range b.pos {
-		u := NodeID(i)
-		adj := b.adj[u][:0]
-		if !b.down[u] {
-			x0, y0, x1, y1 := b.grid.BucketRange(p, b.txRange)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != u && p.Dist2(b.pos[v]) <= r2 {
-							adj = append(adj, v)
-						}
-					}
+// scanOut appends to dst, sorted, every node u transmits to: an up node
+// (the grid holds only those) within u's own range that no active barrier
+// separates from u. It is the one grid scan that builds out-lists.
+func (b *Builder) scanOut(u NodeID, dst []NodeID) []NodeID {
+	pos, grid, lm := b.pos, b.grid, &b.lm
+	barrier := lm.BarrierActive // hoisted: the scan is the builder's hot loop
+	p := pos[u]
+	r := lm.RangeOf(int(u))
+	r2 := r * r
+	x0, y0, x1, y1 := grid.BucketRange(p, r)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			for _, v := range grid.Bucket(x, y) {
+				if q := pos[v]; v != u && p.Dist2(q) <= r2 && !(barrier && lm.cuts(p, q)) {
+					dst = append(dst, v)
 				}
 			}
-			sortIDs(adj)
 		}
-		b.adj[u] = adj
 	}
+	slices.Sort(dst)
+	return dst
 }
 
-// fullScanDirected rescans every node's out-list under its own range
-// (honoring the barrier), then derives the in-lists in one ascending
-// pass, which leaves them sorted without a sort.
-func (b *Builder) fullScanDirected() {
-	for i, p := range b.pos {
-		u := NodeID(i)
-		adj := b.adj[u][:0]
-		if !b.down[u] {
-			ri := b.lm.RangeOf(i)
-			r2 := ri * ri
-			x0, y0, x1, y1 := b.grid.BucketRange(p, ri)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != u && p.Dist2(b.pos[v]) <= r2 && !b.lm.cuts(p, b.pos[v]) {
-							adj = append(adj, v)
-						}
+// scanIn appends to dst, sorted, every up node whose own range reaches u
+// and that no active barrier separates from u: a maximum-range scan
+// filtered by each candidate's range.
+func (b *Builder) scanIn(u NodeID, dst []NodeID) []NodeID {
+	p := b.pos[u]
+	x0, y0, x1, y1 := b.grid.BucketRange(p, b.txRange)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			for _, v := range b.grid.Bucket(x, y) {
+				if v != u && !b.lm.cuts(p, b.pos[v]) {
+					rv := b.lm.RangeOf(int(v))
+					if p.Dist2(b.pos[v]) <= rv*rv {
+						dst = append(dst, v)
 					}
 				}
 			}
-			sortIDs(adj)
-		}
-		b.adj[u] = adj
-	}
-	for i := range b.in {
-		b.in[i] = b.in[i][:0]
-	}
-	for u := range b.adj {
-		for _, v := range b.adj[u] {
-			b.in[v] = append(b.in[v], NodeID(u))
 		}
 	}
+	slices.Sort(dst)
+	return dst
 }
 
 // incremental applies a subset-dirty update: re-bucket the moved (and
-// state-flipped) nodes, rescan their neighborhoods via the grid, and patch
+// state-flipped) nodes, rescan their lists via the grid, and patch
 // stationary nodes' lists only where an edge actually appeared or
 // disappeared. At fine sensing rates a moving node's displacement per
 // refresh is a fraction of the radio range, so its edge set is usually
 // unchanged and the patching step does no work at all — the steady-state
-// cost is the dirty nodes' grid rescans.
+// cost is the moved nodes' grid rescans.
+//
+// A moved node's out-list diff patches the stationary endpoint's in-list
+// (its own list when undirected, where the two coincide); a directed
+// model also rescans the moved node's in-list, whose diff patches the
+// endpoint's out-list. Moved–moved edges need no patching — each
+// endpoint's own rescans settle its lists. adjTotal (Σ out-degree) is
+// carried as a delta: a moved node's own out-list contributes its length
+// difference, and each stationary out-list splice contributes ±1.
 func (b *Builder) incremental(pos []geom.Point, down []bool) {
-	if b.directed {
-		b.incrementalDirected(pos, down)
-		return
-	}
 	b.gen++
 	gen := b.gen
 	for _, m := range b.moved {
 		b.movedStamp[m] = gen
 	}
 
-	// 1. Re-bucket the dirty nodes at their new positions and states. Down
+	// 1. Re-bucket the moved nodes at their new positions and states. Down
 	// nodes live outside the grid entirely: a node that was up leaves the
 	// grid, and only nodes that are (still or newly) up re-enter it.
 	for _, m := range b.moved {
@@ -360,188 +300,71 @@ func (b *Builder) incremental(pos []geom.Point, down []bool) {
 		}
 	}
 
-	// 2. Rescan each dirty node against the updated grid (a down node's new
-	// list is empty), then merge-diff the sorted old and new lists:
-	// stationary endpoints of vanished edges drop m, stationary endpoints
-	// of new edges gain m (sorted in place, O(degree)). Dirty–dirty edges
-	// need no patching — each endpoint's own rescan settles its list.
-	// The link count is carried as a delta on the directed-degree sum
-	// (adjTotal), so a refresh never pays the O(N) recount the full build
-	// does.
-	r2 := b.txRange * b.txRange
-	for _, m := range b.moved {
-		p := b.pos[m]
-		newAdj := b.newAdj[:0]
-		if !b.down[m] {
-			x0, y0, x1, y1 := b.grid.BucketRange(p, b.txRange)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != m && p.Dist2(b.pos[v]) <= r2 {
-							newAdj = append(newAdj, v)
-						}
-					}
-				}
-			}
-			sortIDs(newAdj)
-		}
-		b.newAdj = newAdj // keep the (possibly grown) scratch buffer
-
-		old := b.adj[m]
-		if slices.Equal(old, newAdj) {
-			continue // displacement too small to change any edge: no patching
-		}
-		b.markChanged(m, gen)
-		i, j := 0, 0
-		for i < len(old) || j < len(newAdj) {
-			switch {
-			case j == len(newAdj) || (i < len(old) && old[i] < newAdj[j]):
-				if v := old[i]; b.movedStamp[v] != gen {
-					b.adj[v] = removeSorted(b.adj[v], m)
-					b.markChanged(v, gen)
-					b.adjTotal--
-				}
-				i++
-			case i == len(old) || old[i] > newAdj[j]:
-				if v := newAdj[j]; b.movedStamp[v] != gen {
-					b.adj[v] = insertSorted(b.adj[v], m)
-					b.markChanged(v, gen)
-					b.adjTotal++
-				}
-				j++
-			default: // edge unchanged
-				i++
-				j++
-			}
-		}
-		b.adjTotal += len(newAdj) - len(old)
-		b.adj[m] = append(old[:0], newAdj...)
+	// 2. Rescan each moved node against the updated grid (a down node's
+	// new lists are empty) and merge-diff old against new.
+	outMirror := b.in // where an out-edge m→v is listed at v
+	if outMirror == nil {
+		outMirror = b.adj
 	}
-	b.links = b.adjTotal / 2
-}
-
-// incrementalDirected is the directed-mode subset-dirty update. Each
-// dirty node is rescanned twice against the updated grid: once for its
-// out-list (its own range decides who it reaches) and once for its
-// in-list (a maximum-range scan filtered by each candidate's range
-// decides who reaches it). The two merge-diffs then patch the *opposite*
-// lists of stationary endpoints — an out-edge m→v that appeared or
-// vanished patches v's in-list, an in-edge v→m patches v's out-list —
-// keeping every list sorted with O(degree) splices. Dirty–dirty edges
-// settle through each endpoint's own rescans, exactly like the scalar
-// path. adjTotal (= Σ out-degree = directed link count) is carried as a
-// delta: a dirty node's own out-list contributes its length difference,
-// and each stationary out-list splice contributes ±1, so every directed
-// edge change is counted exactly once at its source.
-func (b *Builder) incrementalDirected(pos []geom.Point, down []bool) {
-	b.gen++
-	gen := b.gen
 	for _, m := range b.moved {
-		b.movedStamp[m] = gen
-	}
-
-	for _, m := range b.moved {
+		newOut, newIn := b.newAdj[:0], b.newIn[:0]
 		if !b.down[m] {
-			b.grid.Remove(int32(m), b.pos[m])
-		}
-		b.pos[m] = pos[m]
-		b.down[m] = isDown(down, int(m))
-		if !b.down[m] {
-			b.grid.Insert(int32(m), b.pos[m])
-		}
-	}
-
-	maxR := b.txRange
-	for _, m := range b.moved {
-		p := b.pos[m]
-		newOut := b.newAdj[:0]
-		newIn := b.newIn[:0]
-		if !b.down[m] {
-			rm := b.lm.RangeOf(int(m))
-			r2 := rm * rm
-			x0, y0, x1, y1 := b.grid.BucketRange(p, rm)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != m && p.Dist2(b.pos[v]) <= r2 && !b.lm.cuts(p, b.pos[v]) {
-							newOut = append(newOut, v)
-						}
-					}
-				}
+			newOut = b.scanOut(m, newOut)
+			if b.in != nil {
+				newIn = b.scanIn(m, newIn)
 			}
-			sortIDs(newOut)
-			// The grid holds only up nodes, so candidates need no mask
-			// check; each candidate's own range decides the v→m edge.
-			x0, y0, x1, y1 = b.grid.BucketRange(p, maxR)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != m && !b.lm.cuts(p, b.pos[v]) {
-							rv := b.lm.RangeOf(int(v))
-							if p.Dist2(b.pos[v]) <= rv*rv {
-								newIn = append(newIn, v)
-							}
-						}
-					}
-				}
-			}
-			sortIDs(newIn)
 		}
 		b.newAdj, b.newIn = newOut, newIn // keep the (possibly grown) scratch
 
 		if old := b.adj[m]; !slices.Equal(old, newOut) {
 			b.markChanged(m, gen)
-			i, j := 0, 0
-			for i < len(old) || j < len(newOut) {
-				switch {
-				case j == len(newOut) || (i < len(old) && old[i] < newOut[j]):
-					if v := old[i]; b.movedStamp[v] != gen {
-						b.in[v] = removeSorted(b.in[v], m)
-						b.markChanged(v, gen)
-					}
-					i++
-				case i == len(old) || old[i] > newOut[j]:
-					if v := newOut[j]; b.movedStamp[v] != gen {
-						b.in[v] = insertSorted(b.in[v], m)
-						b.markChanged(v, gen)
-					}
-					j++
-				default:
-					i++
-					j++
-				}
+			d := b.patch(m, old, newOut, outMirror, gen)
+			if b.in == nil {
+				b.adjTotal += d // the mirror was the stationary out-lists
 			}
 			b.adjTotal += len(newOut) - len(old)
 			b.adj[m] = append(old[:0], newOut...)
 		}
+		if b.in == nil {
+			continue
+		}
 		if old := b.in[m]; !slices.Equal(old, newIn) {
 			b.markChanged(m, gen)
-			i, j := 0, 0
-			for i < len(old) || j < len(newIn) {
-				switch {
-				case j == len(newIn) || (i < len(old) && old[i] < newIn[j]):
-					if v := old[i]; b.movedStamp[v] != gen {
-						b.adj[v] = removeSorted(b.adj[v], m)
-						b.markChanged(v, gen)
-						b.adjTotal--
-					}
-					i++
-				case i == len(old) || old[i] > newIn[j]:
-					if v := newIn[j]; b.movedStamp[v] != gen {
-						b.adj[v] = insertSorted(b.adj[v], m)
-						b.markChanged(v, gen)
-						b.adjTotal++
-					}
-					j++
-				default:
-					i++
-					j++
-				}
-			}
+			b.adjTotal += b.patch(m, old, newIn, b.adj, gen)
 			b.in[m] = append(old[:0], newIn...)
 		}
 	}
-	b.links = b.adjTotal
+	b.countLinks()
+}
+
+// patch merge-diffs moved node m's old and new sorted lists and splices m
+// out of (vanished edge) or into (new edge) mirror[v] for every stationary
+// endpoint v, keeping each list sorted with O(degree) splices. It returns
+// the net number of entries added to mirror.
+func (b *Builder) patch(m NodeID, old, cur []NodeID, mirror [][]NodeID, gen uint64) (delta int) {
+	i, j := 0, 0
+	for i < len(old) || j < len(cur) {
+		switch {
+		case j == len(cur) || (i < len(old) && old[i] < cur[j]):
+			if v := old[i]; b.movedStamp[v] != gen {
+				mirror[v] = removeSorted(mirror[v], m)
+				b.markChanged(v, gen)
+				delta--
+			}
+			i++
+		case i == len(old) || old[i] > cur[j]:
+			if v := cur[j]; b.movedStamp[v] != gen {
+				mirror[v] = insertSorted(mirror[v], m)
+				b.markChanged(v, gen)
+				delta++
+			}
+			j++
+		default: // edge unchanged
+			i++
+			j++
+		}
+	}
+	return delta
 }
 
 // markChanged records v in the changed-adjacency list of the update in
@@ -553,14 +376,14 @@ func (b *Builder) markChanged(v NodeID, gen uint64) {
 	}
 }
 
-// Changed reports which nodes' adjacency lists differ from the previous
-// snapshot after the most recent Update. all=true means the update was a
-// full (re)build — the first build, or the moved fraction exceeding the
-// incremental threshold — and every node must be treated as changed (the
-// list is then empty). Otherwise the list is exact and duplicate-free,
-// in no particular order: a node not listed has a byte-identical
-// adjacency list to the previous snapshot. The slice aliases builder
-// scratch and is valid until the next Update.
+// Changed reports which nodes' adjacency lists (out or in) differ from
+// the previous snapshot after the most recent update. all=true means the
+// update was a full (re)build — the first build, a partition toggle, or
+// the moved fraction exceeding the incremental threshold — and every node
+// must be treated as changed (the list is then empty). Otherwise the list
+// is exact and duplicate-free, in no particular order: a node not listed
+// has byte-identical lists to the previous snapshot. The slice aliases
+// builder scratch and is valid until the next update.
 func (b *Builder) Changed() (changed []NodeID, all bool) {
 	return b.changed, b.changedAll
 }
@@ -588,19 +411,13 @@ func removeSorted(a []NodeID, x NodeID) []NodeID {
 	return a
 }
 
-// recountLinks re-derives the out-degree sum and link count from
-// scratch; full builds call it, incremental updates carry adjTotal as a
-// delta instead.
-func (b *Builder) recountLinks() {
-	sum := 0
-	for _, a := range b.adj {
-		sum += len(a)
-	}
-	b.adjTotal = sum
-	if b.directed {
-		b.links = sum
-	} else {
-		b.links = sum / 2
+// countLinks derives the link count from the out-degree sum: directed
+// edges for a directed model, undirected links (each listed at both ends)
+// otherwise.
+func (b *Builder) countLinks() {
+	b.links = b.adjTotal
+	if b.in == nil {
+		b.links /= 2
 	}
 }
 
@@ -608,15 +425,12 @@ func (b *Builder) recountLinks() {
 // are shared, not copied; see the type comment for the lifetime contract.
 func (b *Builder) snapshot() *Graph {
 	return &Graph{
-		pos:      b.pos,
-		area:     b.area,
-		rng:      b.txRange,
-		ranges:   b.lm.Ranges,
-		directed: b.directed,
-		adj:      b.adj,
-		in:       b.in,
-		links:    b.links,
+		pos:    b.pos,
+		area:   b.area,
+		rng:    b.txRange,
+		ranges: b.lm.Ranges,
+		adj:    b.adj,
+		in:     b.in,
+		links:  b.links,
 	}
 }
-
-func sortIDs(a []NodeID) { slices.Sort(a) }

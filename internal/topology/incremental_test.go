@@ -1,75 +1,42 @@
-package topology
+package topology_test
 
 import (
 	"testing"
 
 	"card/internal/geom"
+	"card/internal/topology"
+	"card/internal/topology/topotest"
 	"card/internal/xrand"
 )
 
-// graphsEqual reports full structural equality: positions, links,
-// per-node sorted out-adjacency, and — for directed snapshots — the
-// in-adjacency and per-node ranges as well.
-func graphsEqual(t *testing.T, want, got *Graph) {
-	t.Helper()
-	if want.N() != got.N() {
-		t.Fatalf("node count: want %d, got %d", want.N(), got.N())
-	}
-	if want.Directed() != got.Directed() {
-		t.Fatalf("directed: want %v, got %v", want.Directed(), got.Directed())
-	}
-	if want.Links() != got.Links() {
-		t.Errorf("links: want %d, got %d", want.Links(), got.Links())
-	}
-	for u := 0; u < want.N(); u++ {
-		if want.Pos(NodeID(u)) != got.Pos(NodeID(u)) {
-			t.Fatalf("node %d position: want %v, got %v", u, want.Pos(NodeID(u)), got.Pos(NodeID(u)))
-		}
-		if want.RangeOf(NodeID(u)) != got.RangeOf(NodeID(u)) {
-			t.Fatalf("node %d range: want %v, got %v", u, want.RangeOf(NodeID(u)), got.RangeOf(NodeID(u)))
-		}
-		w, g := want.Neighbors(NodeID(u)), got.Neighbors(NodeID(u))
-		if len(w) != len(g) {
-			t.Fatalf("node %d degree: want %v, got %v", u, w, g)
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("node %d adjacency: want %v, got %v", u, w, g)
-			}
-		}
-		wi, gi := want.InNeighbors(NodeID(u)), got.InNeighbors(NodeID(u))
-		if len(wi) != len(gi) {
-			t.Fatalf("node %d in-degree: want %v, got %v", u, wi, gi)
-		}
-		for i := range wi {
-			if wi[i] != gi[i] {
-				t.Fatalf("node %d in-adjacency: want %v, got %v", u, wi, gi)
-			}
-		}
-	}
+// build returns the snapshot a fresh Builder produces for one update: a
+// full grid build.
+func build(pos []geom.Point, area geom.Rect, lm topology.LinkModel, down []bool) *topology.Graph {
+	return topology.NewBuilder(len(pos), area, lm).Update(pos, down)
 }
 
 func TestBuildNaiveMatchesGrid(t *testing.T) {
 	area := geom.Rect{W: 400, H: 300}
 	rng := xrand.New(11)
+	lm := topology.LinkModel{Uniform: 55}
 	for _, n := range []int{1, 2, 10, 120, 400} {
-		pos := UniformPositions(n, area, rng)
-		graphsEqual(t, BuildNaive(pos, area, 55), Build(pos, area, 55))
+		pos := topology.UniformPositions(n, area, rng)
+		topotest.Equal(t, topotest.Naive(pos, lm, nil), build(pos, area, lm, nil))
 	}
 }
 
 // TestBuilderMatchesFullRebuild drives a Builder through a random mobility
 // trace where a random subset of nodes moves each step (including the
 // empty and full subsets) and checks that every incremental snapshot is
-// structurally identical to a from-scratch build.
+// structurally identical to the all-pairs reference.
 func TestBuilderMatchesFullRebuild(t *testing.T) {
 	const n = 250
 	area := geom.Rect{W: 600, H: 600}
-	const tx = 60.0
+	lm := topology.LinkModel{Uniform: 60}
 	rng := xrand.New(7)
-	pos := UniformPositions(n, area, rng)
-	b := NewBuilder(n, area, tx)
-	graphsEqual(t, Build(pos, area, tx), b.Update(pos))
+	pos := topology.UniformPositions(n, area, rng)
+	b := topology.NewBuilder(n, area, lm)
+	topotest.Equal(t, topotest.Naive(pos, lm, nil), b.Update(pos, nil))
 
 	for step := 0; step < 60; step++ {
 		// Vary the churn: steps cycle through no movement, a handful of
@@ -93,7 +60,7 @@ func TestBuilderMatchesFullRebuild(t *testing.T) {
 				Y: pos[i].Y + rng.Range(-80, 80),
 			})
 		}
-		graphsEqual(t, Build(pos, area, tx), b.Update(pos))
+		topotest.Equal(t, topotest.Naive(pos, lm, nil), b.Update(pos, nil))
 	}
 }
 
@@ -101,15 +68,15 @@ func TestBuilderMatchesFullRebuild(t *testing.T) {
 // grid removal and reinsertion into distant buckets.
 func TestBuilderTeleport(t *testing.T) {
 	area := geom.Rect{W: 500, H: 500}
-	const tx = 80.0
+	lm := topology.LinkModel{Uniform: 80}
 	rng := xrand.New(3)
-	pos := UniformPositions(100, area, rng)
-	b := NewBuilder(100, area, tx)
-	b.Update(pos)
+	pos := topology.UniformPositions(100, area, rng)
+	b := topology.NewBuilder(100, area, lm)
+	b.Update(pos, nil)
 	for step := 0; step < 20; step++ {
 		i := rng.Intn(100)
 		pos[i] = geom.Point{X: rng.Range(0, area.W), Y: rng.Range(0, area.H)}
-		graphsEqual(t, Build(pos, area, tx), b.Update(pos))
+		topotest.Equal(t, topotest.Naive(pos, lm, nil), b.Update(pos, nil))
 	}
 }
 
@@ -119,6 +86,6 @@ func TestBuilderUpdateMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on mismatched position count")
 		}
 	}()
-	b := NewBuilder(4, geom.Rect{W: 10, H: 10}, 2)
-	b.Update(make([]geom.Point, 3))
+	b := topology.NewBuilder(4, geom.Rect{W: 10, H: 10}, topology.LinkModel{Uniform: 2})
+	b.Update(make([]geom.Point, 3), nil)
 }

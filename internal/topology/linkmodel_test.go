@@ -1,9 +1,11 @@
-package topology
+package topology_test
 
 import (
 	"testing"
 
 	"card/internal/geom"
+	"card/internal/topology"
+	"card/internal/topology/topotest"
 	"card/internal/xrand"
 )
 
@@ -18,61 +20,59 @@ func heteroRanges(n int, base, spread float64, rng *xrand.Rand) []float64 {
 }
 
 // TestDirectedEdgesFollowRanges pins the core directed contract on a
-// handcrafted pair: the long-range node hears nobody back.
+// handcrafted pair: the long-range node hears nobody back. The reference
+// must agree with the builder's snapshot.
 func TestDirectedEdgesFollowRanges(t *testing.T) {
 	area := geom.Rect{W: 200, H: 100}
 	pos := []geom.Point{{X: 50, Y: 50}, {X: 100, Y: 50}} // 50 m apart
-	lm := LinkModel{Uniform: 60, Ranges: []float64{100, 30}}
-	for name, g := range map[string]*Graph{
-		"naive": BuildNaiveLink(pos, area, lm),
-		"grid":  BuildLink(pos, area, lm),
-	} {
-		if !g.Directed() || !g.Heterogeneous() {
-			t.Fatalf("%s: graph not marked directed/heterogeneous", name)
-		}
-		if !g.Adjacent(0, 1) {
-			t.Errorf("%s: 0→1 missing (dist 50 <= range 100)", name)
-		}
-		if g.Adjacent(1, 0) {
-			t.Errorf("%s: 1→0 present (dist 50 > range 30)", name)
-		}
-		if g.Bidirectional(0, 1) || g.Bidirectional(1, 0) {
-			t.Errorf("%s: asymmetric pair reported bidirectional", name)
-		}
-		if g.Links() != 1 {
-			t.Errorf("%s: links = %d, want 1 directed edge", name, g.Links())
-		}
-		if in := g.InNeighbors(1); len(in) != 1 || in[0] != 0 {
-			t.Errorf("%s: InNeighbors(1) = %v, want [0]", name, in)
-		}
-		if len(g.InNeighbors(0)) != 0 {
-			t.Errorf("%s: InNeighbors(0) = %v, want empty", name, g.InNeighbors(0))
-		}
-		if min, max := g.RangeSpan(); min != 30 || max != 100 {
-			t.Errorf("%s: RangeSpan = (%v,%v), want (30,100)", name, min, max)
-		}
-		if g.TxRange() != 100 {
-			t.Errorf("%s: TxRange = %v, want max range 100", name, g.TxRange())
-		}
+	lm := topology.LinkModel{Uniform: 60, Ranges: []float64{100, 30}}
+	g := build(pos, area, lm, nil)
+	topotest.Equal(t, topotest.Naive(pos, lm, nil), g)
+	if !g.Directed() || !g.Heterogeneous() {
+		t.Fatal("graph not marked directed/heterogeneous")
+	}
+	if !g.Adjacent(0, 1) {
+		t.Error("0→1 missing (dist 50 <= range 100)")
+	}
+	if g.Adjacent(1, 0) {
+		t.Error("1→0 present (dist 50 > range 30)")
+	}
+	if g.Bidirectional(0, 1) || g.Bidirectional(1, 0) {
+		t.Error("asymmetric pair reported bidirectional")
+	}
+	if g.Links() != 1 {
+		t.Errorf("links = %d, want 1 directed edge", g.Links())
+	}
+	if in := g.InNeighbors(1); len(in) != 1 || in[0] != 0 {
+		t.Errorf("InNeighbors(1) = %v, want [0]", in)
+	}
+	if len(g.InNeighbors(0)) != 0 {
+		t.Errorf("InNeighbors(0) = %v, want empty", g.InNeighbors(0))
+	}
+	if min, max := g.RangeSpan(); min != 30 || max != 100 {
+		t.Errorf("RangeSpan = (%v,%v), want (30,100)", min, max)
+	}
+	if g.TxRange() != 100 {
+		t.Errorf("TxRange = %v, want max range 100", g.TxRange())
 	}
 }
 
-// TestUniformLinkMatchesScalar pins the fast-path guarantee from the other
-// side: a LinkModel whose Ranges are all equal must produce exactly the
-// scalar builder's structure (the scalar snapshot is undirected, so the
-// comparison goes through the accessors, not graphsEqual).
+// TestUniformLinkMatchesScalar pins the scalar model from the other side:
+// a LinkModel whose Ranges are all equal must produce exactly the scalar
+// model's structure (the scalar snapshot is undirected, so the comparison
+// goes through the accessors, not topotest.Equal).
 func TestUniformLinkMatchesScalar(t *testing.T) {
 	const n, tx = 180, 55.0
 	area := geom.Rect{W: 500, H: 500}
 	rng := xrand.New(23)
-	pos := UniformPositions(n, area, rng)
+	pos := topology.UniformPositions(n, area, rng)
 	ranges := make([]float64, n)
 	for i := range ranges {
 		ranges[i] = tx
 	}
 
-	scalar := Build(pos, area, tx)
-	uniform := BuildLink(pos, area, LinkModel{Uniform: tx, Ranges: ranges})
+	scalar := build(pos, area, topology.LinkModel{Uniform: tx}, nil)
+	uniform := build(pos, area, topology.LinkModel{Uniform: tx, Ranges: ranges}, nil)
 	if !uniform.Directed() {
 		t.Fatal("explicit-ranges graph should run the directed machinery")
 	}
@@ -81,7 +81,7 @@ func TestUniformLinkMatchesScalar(t *testing.T) {
 			uniform.Links(), 2*scalar.Links())
 	}
 	for u := 0; u < n; u++ {
-		w, g := scalar.Neighbors(NodeID(u)), uniform.Neighbors(NodeID(u))
+		w, g := scalar.Neighbors(topology.NodeID(u)), uniform.Neighbors(topology.NodeID(u))
 		if len(w) != len(g) {
 			t.Fatalf("node %d degree: scalar %v, uniform %v", u, w, g)
 		}
@@ -90,19 +90,19 @@ func TestUniformLinkMatchesScalar(t *testing.T) {
 				t.Fatalf("node %d adjacency: scalar %v, uniform %v", u, w, g)
 			}
 		}
-		gi := uniform.InNeighbors(NodeID(u))
+		gi := uniform.InNeighbors(topology.NodeID(u))
 		for i := range w {
 			if w[i] != gi[i] {
 				t.Fatalf("node %d in-adjacency differs from out on a symmetric graph", u)
 			}
 		}
-		if !scalarBidirAgree(scalar, uniform, NodeID(u)) {
+		if !scalarBidirAgree(scalar, uniform, topology.NodeID(u)) {
 			t.Fatalf("node %d: Bidirectional disagrees with scalar Adjacent", u)
 		}
 	}
 }
 
-func scalarBidirAgree(scalar, uniform *Graph, u NodeID) bool {
+func scalarBidirAgree(scalar, uniform *topology.Graph, u topology.NodeID) bool {
 	for _, v := range scalar.Neighbors(u) {
 		if !uniform.Bidirectional(u, v) {
 			return false
@@ -113,35 +113,35 @@ func scalarBidirAgree(scalar, uniform *Graph, u NodeID) bool {
 
 // TestHeteroBuildersAgree is TestMaskedBuildersAgree for the directed
 // layer: heterogeneous ranges, churn, movement, and partition barrier
-// toggles drive the naive reference, the grid build, the scanning
-// incremental builder, and the dirty-list incremental builder — all four
-// must stay byte-identical, including in-adjacency.
+// toggles drive the naive reference, a fresh full build, the scanning
+// update, and the moved-list update — all four must stay byte-identical,
+// including in-adjacency.
 func TestHeteroBuildersAgree(t *testing.T) {
 	const n = 200
 	area := geom.Rect{W: 600, H: 600}
 	rng := xrand.New(29)
-	pos := UniformPositions(n, area, rng)
+	pos := topology.UniformPositions(n, area, rng)
 	down := make([]bool, n)
-	lm := LinkModel{
+	lm := topology.LinkModel{
 		Uniform:  60,
 		Ranges:   heteroRanges(n, 60, 0.5, rng.Derive(1)),
 		BarrierX: area.W / 2,
 	}
-	bScan := NewBuilderLink(n, area, lm)
-	bDirty := NewBuilderLink(n, area, lm)
+	bScan := topology.NewBuilder(n, area, lm)
+	bDirty := topology.NewBuilder(n, area, lm)
 
-	check := func(dirty []NodeID) {
+	check := func(dirty []topology.NodeID) {
 		t.Helper()
-		want := BuildNaiveLinkMasked(pos, area, lm, down)
-		graphsEqual(t, want, BuildLinkMasked(pos, area, lm, down))
-		graphsEqual(t, want, bScan.UpdateMasked(pos, down))
-		graphsEqual(t, want, bDirty.UpdateDirtyMasked(pos, down, dirty))
+		want := topotest.Naive(pos, lm, down)
+		topotest.Equal(t, want, build(pos, area, lm, down))
+		topotest.Equal(t, want, bScan.Update(pos, down))
+		topotest.Equal(t, want, bDirty.UpdateMoved(pos, down, dirty))
 	}
 	check(nil)
 
 	mut := rng.Derive(2)
 	for step := 0; step < 60; step++ {
-		var dirty []NodeID
+		var dirty []topology.NodeID
 		// Movement: a varying subset drifts, including mass-move steps
 		// that cross the full-rebuild threshold.
 		movers := []int{0, 7, n / 2, n}[step%4]
@@ -151,14 +151,14 @@ func TestHeteroBuildersAgree(t *testing.T) {
 				X: pos[i].X + mut.Range(-70, 70),
 				Y: pos[i].Y + mut.Range(-70, 70),
 			})
-			dirty = append(dirty, NodeID(i))
+			dirty = append(dirty, topology.NodeID(i))
 		}
 		// Churn: flip a varying subset.
 		flips := []int{3, 0, n / 3, 1}[step%4]
 		for k := 0; k < flips; k++ {
 			i := mut.Intn(n)
 			down[i] = !down[i]
-			dirty = append(dirty, NodeID(i))
+			dirty = append(dirty, topology.NodeID(i))
 		}
 		// Partition: the barrier cuts the world in half every 10th step
 		// and heals two steps later, while nodes keep moving.
@@ -182,15 +182,15 @@ func TestHeteroBuildersAgree(t *testing.T) {
 func TestBarrierForcesFullRebuild(t *testing.T) {
 	area := geom.Rect{W: 100, H: 100}
 	pos := []geom.Point{{X: 45, Y: 50}, {X: 55, Y: 50}}
-	lm := LinkModel{Uniform: 30, BarrierX: 50}
-	b := NewBuilderLink(2, area, lm)
-	g := b.Update(pos)
+	lm := topology.LinkModel{Uniform: 30, BarrierX: 50}
+	b := topology.NewBuilder(2, area, lm)
+	g := b.Update(pos, nil)
 	if !g.Bidirectional(0, 1) {
 		t.Fatal("pair should be linked before the partition")
 	}
 
 	b.SetBarrier(true)
-	g = b.Update(pos)
+	g = b.Update(pos, nil)
 	if g.Adjacent(0, 1) || g.Adjacent(1, 0) || g.Links() != 0 {
 		t.Fatal("active barrier left links across the cut")
 	}
@@ -199,7 +199,7 @@ func TestBarrierForcesFullRebuild(t *testing.T) {
 	}
 
 	b.SetBarrier(false)
-	g = b.Update(pos)
+	g = b.Update(pos, nil)
 	if !g.Bidirectional(0, 1) {
 		t.Fatal("healed partition did not restore the link")
 	}

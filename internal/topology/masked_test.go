@@ -1,32 +1,34 @@
-package topology
+package topology_test
 
 import (
 	"testing"
 
 	"card/internal/geom"
+	"card/internal/topology"
+	"card/internal/topology/topotest"
 	"card/internal/xrand"
 )
 
 // TestMaskedBuildersAgree drives all three construction paths through a
 // combined movement + churn trace and checks byte-identical structure:
-// the naive masked scan is the reference, the masked grid build and the
+// the naive masked scan is the reference, a fresh full build and the
 // incremental builder must match it at every step — including steps where
 // nodes move while down, flip state without moving, and flip en masse
 // (crossing the full-rebuild threshold).
 func TestMaskedBuildersAgree(t *testing.T) {
 	const n = 220
 	area := geom.Rect{W: 600, H: 600}
-	const tx = 60.0
+	lm := topology.LinkModel{Uniform: 60}
 	rng := xrand.New(19)
-	pos := UniformPositions(n, area, rng)
+	pos := topology.UniformPositions(n, area, rng)
 	down := make([]bool, n)
-	b := NewBuilder(n, area, tx)
+	b := topology.NewBuilder(n, area, lm)
 
 	check := func(step int) {
 		t.Helper()
-		want := BuildNaiveMasked(pos, area, tx, down)
-		graphsEqual(t, want, BuildMasked(pos, area, tx, down))
-		graphsEqual(t, want, b.UpdateMasked(pos, down))
+		want := topotest.Naive(pos, lm, down)
+		topotest.Equal(t, want, build(pos, area, lm, down))
+		topotest.Equal(t, want, b.Update(pos, down))
 	}
 	check(-1)
 
@@ -53,34 +55,32 @@ func TestMaskedBuildersAgree(t *testing.T) {
 
 // TestMaskedDownNodesAreIsolated pins the mask semantics: a down node has
 // no neighbors and appears in nobody's list, but keeps its id and
-// position.
+// position. The reference must agree with the builder's snapshot.
 func TestMaskedDownNodesAreIsolated(t *testing.T) {
 	area := geom.Rect{W: 100, H: 100}
 	// Three collinear nodes all within range of each other.
 	pos := []geom.Point{{X: 10, Y: 50}, {X: 50, Y: 50}, {X: 90, Y: 50}}
 	down := []bool{false, true, false}
-	for name, g := range map[string]*Graph{
-		"naive": BuildNaiveMasked(pos, area, 60, down),
-		"grid":  BuildMasked(pos, area, 60, down),
-	} {
-		if g.Degree(1) != 0 {
-			t.Errorf("%s: down node has %d neighbors", name, g.Degree(1))
-		}
-		for _, u := range []NodeID{0, 2} {
-			for _, v := range g.Neighbors(u) {
-				if v == 1 {
-					t.Errorf("%s: down node listed as neighbor of %d", name, u)
-				}
+	lm := topology.LinkModel{Uniform: 60}
+	g := build(pos, area, lm, down)
+	topotest.Equal(t, topotest.Naive(pos, lm, down), g)
+	if g.Degree(1) != 0 {
+		t.Errorf("down node has %d neighbors", g.Degree(1))
+	}
+	for _, u := range []topology.NodeID{0, 2} {
+		for _, v := range g.Neighbors(u) {
+			if v == 1 {
+				t.Errorf("down node listed as neighbor of %d", u)
 			}
 		}
-		if g.Pos(1) != pos[1] {
-			t.Errorf("%s: down node lost its position", name)
-		}
-		// 0 and 2 are 80 m apart: adjacent only to each other via node 1,
-		// which is down, so the up survivors are disconnected.
-		if g.Adjacent(0, 2) {
-			t.Errorf("%s: phantom link across the down node", name)
-		}
+	}
+	if g.Pos(1) != pos[1] {
+		t.Error("down node lost its position")
+	}
+	// 0 and 2 are 80 m apart: adjacent only to each other via node 1,
+	// which is down, so the up survivors are disconnected.
+	if g.Adjacent(0, 2) {
+		t.Error("phantom link across the down node")
 	}
 }
 
@@ -91,18 +91,19 @@ func TestBuilderMaskOnReinsertion(t *testing.T) {
 	area := geom.Rect{W: 200, H: 200}
 	pos := []geom.Point{{X: 10, Y: 10}, {X: 20, Y: 10}, {X: 190, Y: 190}}
 	down := []bool{false, false, false}
-	b := NewBuilder(3, area, 30)
-	b.UpdateMasked(pos, down)
+	lm := topology.LinkModel{Uniform: 30}
+	b := topology.NewBuilder(3, area, lm)
+	b.Update(pos, down)
 
 	// Node 1 goes down and wanders to the far corner next to node 2.
 	down[1] = true
-	b.UpdateMasked(pos, down)
+	b.Update(pos, down)
 	pos[1] = geom.Point{X: 180, Y: 190}
-	b.UpdateMasked(pos, down)
+	b.Update(pos, down)
 
 	down[1] = false
-	g := b.UpdateMasked(pos, down)
-	graphsEqual(t, BuildNaiveMasked(pos, area, 30, down), g)
+	g := b.Update(pos, down)
+	topotest.Equal(t, topotest.Naive(pos, lm, down), g)
 	if !g.Adjacent(1, 2) || g.Adjacent(0, 1) {
 		t.Errorf("readmitted node has wrong links: neighbors(1) = %v", g.Neighbors(1))
 	}

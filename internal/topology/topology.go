@@ -2,9 +2,11 @@
 // underlying the MANET simulation.
 //
 // A Graph is an immutable snapshot: node positions plus adjacency under a
-// fixed transmission range. The mobility layer produces a fresh snapshot
-// whenever positions change; protocols query the snapshot through
-// [manet.Network].
+// [LinkModel]. Snapshots come from one place, the incremental [Builder],
+// which the network layer updates whenever positions change; protocols
+// query the snapshot through [manet.Network]. The O(N²) all-pairs
+// reference the builder is checked against lives in the test-support
+// package topotest.
 //
 // The package also computes the connectivity census reported in the paper's
 // Table 1: link count, mean node degree, network diameter, and average hop
@@ -41,62 +43,10 @@ type Graph struct {
 	rng  float64 // max transmission range, meters (grid cell size)
 	// ranges holds per-node transmission ranges in directed mode built
 	// from LinkModel.Ranges; nil means every node uses rng.
-	ranges   []float64
-	directed bool
-	adj      [][]NodeID // out-adjacency (the only adjacency when undirected)
-	in       [][]NodeID // in-adjacency; nil when undirected
-	links    int
-}
-
-// Build constructs the unit-disk graph over the given positions: nodes u≠v
-// are adjacent iff dist(u,v) <= txRange. Runs in O(N·density) via a uniform
-// grid.
-func Build(pos []geom.Point, area geom.Rect, txRange float64) *Graph {
-	return BuildMasked(pos, area, txRange, nil)
-}
-
-// BuildMasked is Build with a node-exclusion mask: nodes with down[i] true
-// take part in no links (their adjacency is empty and no other node lists
-// them), modeling churned-out devices whose radios are off while their
-// ids — and positions — persist. A nil mask means every node is up.
-func BuildMasked(pos []geom.Point, area geom.Rect, txRange float64, down []bool) *Graph {
-	if txRange <= 0 {
-		panic("topology: non-positive transmission range")
-	}
-	g := &Graph{
-		pos:  append([]geom.Point(nil), pos...),
-		area: area,
-		rng:  txRange,
-		adj:  make([][]NodeID, len(pos)),
-	}
-	grid := geom.NewGrid(area, txRange)
-	for i, p := range g.pos {
-		if !isDown(down, i) {
-			grid.Insert(NodeID(i), p)
-		}
-	}
-	r2 := txRange * txRange
-	for i, p := range g.pos {
-		if isDown(down, i) {
-			continue
-		}
-		u := NodeID(i)
-		x0, y0, x1, y1 := grid.BucketRange(p, txRange)
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				for _, v := range grid.Bucket(x, y) {
-					if v != u && p.Dist2(g.pos[v]) <= r2 {
-						g.adj[u] = append(g.adj[u], v)
-					}
-				}
-			}
-		}
-		// Deterministic neighbor order regardless of grid traversal.
-		slices.Sort(g.adj[u])
-		g.links += len(g.adj[u])
-	}
-	g.links /= 2
-	return g
+	ranges []float64
+	adj    [][]NodeID // out-adjacency (the only adjacency when undirected)
+	in     [][]NodeID // in-adjacency; nil exactly when undirected
+	links  int
 }
 
 // isDown reads an optional exclusion mask (nil = all up).
@@ -146,7 +96,7 @@ func (g *Graph) RangeSpan() (min, max float64) {
 // Directed reports whether the snapshot was built from a link model that
 // can produce asymmetric links (per-node ranges or a partition barrier).
 // Undirected snapshots guarantee Adjacent(u,v) == Adjacent(v,u).
-func (g *Graph) Directed() bool { return g.directed }
+func (g *Graph) Directed() bool { return g.in != nil }
 
 // Pos returns the position of node u.
 func (g *Graph) Pos(u NodeID) geom.Point { return g.pos[u] }
@@ -189,7 +139,7 @@ func (g *Graph) Adjacent(u, v NodeID) bool {
 // link-layer acknowledgement must travel v→u. On undirected snapshots it
 // is exactly Adjacent.
 func (g *Graph) Bidirectional(u, v NodeID) bool {
-	if !g.directed {
+	if g.in == nil {
 		return g.Adjacent(u, v)
 	}
 	return g.Adjacent(u, v) && g.Adjacent(v, u)
@@ -303,9 +253,13 @@ func (g *Graph) LargestComponent() []NodeID {
 
 // Census is the connectivity summary reported in the paper's Table 1.
 type Census struct {
-	N          int     // nodes
-	Links      int     // undirected links
-	MeanDegree float64 // 2*Links/N
+	N int // nodes
+	// Links counts links as Graph.Links does: undirected links on a
+	// scalar snapshot, directed edges on a directed one.
+	Links int
+	// MeanDegree is 2*Links/N on a scalar snapshot and Links/N (the mean
+	// out-degree) on a directed one.
+	MeanDegree float64
 	Diameter   int     // max shortest-path length over reachable pairs
 	AvgHops    float64 // mean shortest-path length over reachable pairs
 	// LargestComponentFrac is the fraction of nodes in the largest
@@ -338,7 +292,7 @@ func (g *Graph) ComputeCensus() Census {
 	n := g.N()
 	c := Census{N: n, Links: g.links}
 	if n > 0 {
-		if g.directed {
+		if g.in != nil {
 			// links counts directed edges; the mean out-degree is the
 			// comparable figure.
 			c.MeanDegree = float64(g.links) / float64(n)

@@ -8,6 +8,12 @@ import (
 	"card/internal/xrand"
 )
 
+// build returns the snapshot a fresh Builder produces for one update under
+// a uniform range: a full grid build.
+func build(pos []geom.Point, area geom.Rect, txRange float64) *Graph {
+	return NewBuilder(len(pos), area, LinkModel{Uniform: txRange}).Update(pos, nil)
+}
+
 // lineGraph builds n nodes spaced 10 m apart on a line with 15 m range, so
 // each node links only to immediate neighbors: a path graph.
 func lineGraph(n int) *Graph {
@@ -15,7 +21,7 @@ func lineGraph(n int) *Graph {
 	for i := range pts {
 		pts[i] = geom.Point{X: float64(i) * 10, Y: 0}
 	}
-	return Build(pts, geom.Rect{W: float64(n) * 10, H: 10}, 15)
+	return build(pts, geom.Rect{W: float64(n) * 10, H: 10}, 15)
 }
 
 func TestBuildPathGraph(t *testing.T) {
@@ -43,15 +49,15 @@ func TestBuildPathGraph(t *testing.T) {
 func TestBuildPanicsOnBadRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Build with range 0 did not panic")
+			t.Error("build with range 0 did not panic")
 		}
 	}()
-	Build(nil, geom.Rect{W: 10, H: 10}, 0)
+	build(nil, geom.Rect{W: 10, H: 10}, 0)
 }
 
 func TestAdjacencySymmetric(t *testing.T) {
 	rng := xrand.New(3)
-	g := Build(UniformPositions(200, geom.Rect{W: 500, H: 500}, rng), geom.Rect{W: 500, H: 500}, 50)
+	g := build(UniformPositions(200, geom.Rect{W: 500, H: 500}, rng), geom.Rect{W: 500, H: 500}, 50)
 	for u := NodeID(0); int(u) < g.N(); u++ {
 		for _, v := range g.Neighbors(u) {
 			if !g.Adjacent(v, u) {
@@ -65,7 +71,7 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(11)
 	area := geom.Rect{W: 300, H: 300}
 	pts := UniformPositions(120, area, rng)
-	g := Build(pts, area, 40)
+	g := build(pts, area, 40)
 	links := 0
 	for i := 0; i < len(pts); i++ {
 		for j := i + 1; j < len(pts); j++ {
@@ -130,7 +136,7 @@ func TestBoundedBFSZeroHops(t *testing.T) {
 
 func TestPathToUnreachable(t *testing.T) {
 	// Two isolated nodes.
-	g := Build([]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 100}}, geom.Rect{W: 100, H: 100}, 10)
+	g := build([]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 100}}, geom.Rect{W: 100, H: 100}, 10)
 	res := g.BFS(0)
 	if res.PathTo(1) != nil {
 		t.Error("PathTo(unreachable) != nil")
@@ -140,7 +146,7 @@ func TestPathToUnreachable(t *testing.T) {
 func TestVisitedSortedByDistance(t *testing.T) {
 	rng := xrand.New(5)
 	area := geom.Rect{W: 400, H: 400}
-	g := Build(UniformPositions(150, area, rng), area, 60)
+	g := build(UniformPositions(150, area, rng), area, 60)
 	res := g.BFS(0)
 	for i := 1; i < len(res.Visited); i++ {
 		if res.Dist[res.Visited[i]] < res.Dist[res.Visited[i-1]] {
@@ -152,7 +158,7 @@ func TestVisitedSortedByDistance(t *testing.T) {
 func TestComponents(t *testing.T) {
 	// Two separated pairs plus an isolated node.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 100, Y: 0}, {X: 105, Y: 0}, {X: 200, Y: 200}}
-	g := Build(pts, geom.Rect{W: 300, H: 300}, 10)
+	g := build(pts, geom.Rect{W: 300, H: 300}, 10)
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3", len(comps))
@@ -188,7 +194,7 @@ func TestCensusOnPath(t *testing.T) {
 
 func TestCensusTriangleClustering(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 2.5, Y: 4}}
-	g := Build(pts, geom.Rect{W: 10, H: 10}, 6)
+	g := build(pts, geom.Rect{W: 10, H: 10}, 6)
 	c := g.ComputeCensus()
 	if c.MeanClustering != 1 {
 		t.Errorf("triangle clustering = %v, want 1", c.MeanClustering)
@@ -221,12 +227,12 @@ func TestCensusSampledAboveSourceCap(t *testing.T) {
 }
 
 func TestCensusEmptyAndSingleton(t *testing.T) {
-	g := Build(nil, geom.Rect{W: 10, H: 10}, 5)
+	g := build(nil, geom.Rect{W: 10, H: 10}, 5)
 	c := g.ComputeCensus()
 	if c.N != 0 || c.Links != 0 || c.Diameter != 0 {
 		t.Errorf("empty census = %+v", c)
 	}
-	g1 := Build([]geom.Point{{X: 1, Y: 1}}, geom.Rect{W: 10, H: 10}, 5)
+	g1 := build([]geom.Point{{X: 1, Y: 1}}, geom.Rect{W: 10, H: 10}, 5)
 	c1 := g1.ComputeCensus()
 	if c1.N != 1 || c1.AvgHops != 0 || c1.LargestComponentFrac != 1 {
 		t.Errorf("singleton census = %+v", c1)
@@ -293,7 +299,7 @@ func TestQuickBFSTriangleInequalityOverEdges(t *testing.T) {
 		rng := xrand.New(seed)
 		area := geom.Rect{W: 300, H: 300}
 		n := 30 + rng.Intn(80)
-		g := Build(UniformPositions(n, area, rng), area, 60)
+		g := build(UniformPositions(n, area, rng), area, 60)
 		src := NodeID(rng.Intn(n))
 		res := g.BFS(src)
 		for u := 0; u < n; u++ {
@@ -320,7 +326,7 @@ func TestQuickBoundedBFSPrefixOfFull(t *testing.T) {
 		rng := xrand.New(seed)
 		area := geom.Rect{W: 300, H: 300}
 		n := 30 + rng.Intn(80)
-		g := Build(UniformPositions(n, area, rng), area, 50)
+		g := build(UniformPositions(n, area, rng), area, 50)
 		src := NodeID(rng.Intn(n))
 		r := 1 + rng.Intn(5)
 		full := g.BFS(src)
@@ -346,7 +352,7 @@ func TestQuickComponentsPartitionNodes(t *testing.T) {
 		rng := xrand.New(seed)
 		area := geom.Rect{W: 500, H: 500}
 		n := 20 + rng.Intn(100)
-		g := Build(UniformPositions(n, area, rng), area, 40)
+		g := build(UniformPositions(n, area, rng), area, 40)
 		seen := make(map[NodeID]bool)
 		total := 0
 		for _, comp := range g.Components() {
@@ -380,14 +386,14 @@ func BenchmarkBuild500(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(pts, area, 50)
+		build(pts, area, 50)
 	}
 }
 
 func BenchmarkCensus500(b *testing.B) {
 	rng := xrand.New(1)
 	area := geom.Rect{W: 710, H: 710}
-	g := Build(UniformPositions(500, area, rng), area, 50)
+	g := build(UniformPositions(500, area, rng), area, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ComputeCensus()
