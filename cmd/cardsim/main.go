@@ -45,6 +45,7 @@ import (
 	proto "card/internal/card"
 	"card/internal/engine"
 	"card/internal/experiments"
+	"card/internal/mobility"
 	"card/internal/scheme"
 	"card/internal/sweep"
 	"card/internal/workload"
@@ -133,6 +134,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "  %s\n", n)
 		}
 		return 1
+	}
+	if *trace != "" {
+		// A malformed trace is an input error like an unknown preset:
+		// report it before anything runs.
+		if _, err := mobility.LoadSetdestFile(*trace); err != nil {
+			fmt.Fprintln(stderr, "cardsim:", err)
+			return 1
+		}
 	}
 	if *preset != "" {
 		if _, err := engine.LookupPreset(*preset); err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -102,5 +104,26 @@ func TestNonFiniteOverridesExitOne(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("run(%v) ran anyway:\n%s", tc, out.String())
 		}
+	}
+}
+
+// TestNonFiniteTraceExitOne pins the same for a -trace file: a NaN
+// coordinate must fail the parse with exit 1, not run as a node that
+// links to nobody.
+func TestNonFiniteTraceExitOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nan.tcl")
+	src := "$node_(0) set X_ 10\n$node_(0) set Y_ 10\n$node_(1) set X_ NaN\n$node_(1) set Y_ 20\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw strings.Builder
+	if code := run([]string{"-trace", path, "-tx", "50"}, &out, &errw); code != 1 {
+		t.Fatalf("run(-trace nan.tcl) = exit %d, want 1\nstderr: %s", code, errw.String())
+	}
+	if want := "trace line 3:"; !strings.Contains(errw.String(), want) {
+		t.Errorf("stderr %q does not say %q", errw.String(), want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run(-trace nan.tcl) ran anyway:\n%s", out.String())
 	}
 }

@@ -31,7 +31,7 @@ func randomNet(seed uint64, n int) *manet.Network {
 
 func newBC(t *testing.T, net *manet.Network, zone int, qd QDMode) *Protocol {
 	t.Helper()
-	nb := neighborhood.NewOracle(net, zone)
+	nb := neighborhood.NewOracle(net, zone, 0)
 	p, err := New(net, nb, Config{Zone: zone, QD: qd})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func newBC(t *testing.T, net *manet.Network, zone int, qd QDMode) *Protocol {
 
 func TestConfigValidation(t *testing.T) {
 	net := lineNet(5)
-	nb := neighborhood.NewOracle(net, 2)
+	nb := neighborhood.NewOracle(net, 2, 0)
 	if _, err := New(net, nb, Config{Zone: 0}); err == nil {
 		t.Error("zone 0 accepted")
 	}
@@ -182,7 +182,7 @@ func TestRepliesCounted(t *testing.T) {
 	withReply := bc.Query(0, 20).Messages
 
 	net2 := lineNet(30)
-	nb2 := neighborhood.NewOracle(net2, 3)
+	nb2 := neighborhood.NewOracle(net2, 3, 0)
 	bc2, err := New(net2, nb2, Config{Zone: 3, QD: QD1, DisableReplyCounting: true})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func mobileNet(t *testing.T, seed uint64, n int, txRange float64) *manet.Network
 // newProtocol wires a protocol over net with an oracle neighborhood.
 func newProtocol(t *testing.T, net *manet.Network, cfg Config, seed uint64) *Protocol {
 	t.Helper()
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	p, err := New(net, nb, cfg, xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func (p *Protocol) Query(u, target NodeID) QueryResult {
 // live in the Querier itself. Between topology refreshes and maintenance
 // rounds, any number of Queriers may run concurrently over the same
 // Protocol (the engine's BatchQuery does exactly that — one Querier per
-// worker), provided neighborhood views are warmed first; see
+// worker), provided the neighborhood provider's WarmAll ran first; see
 // neighborhood.Warmer.
 //
 // A Querier is single-goroutine; message tallies accumulate locally until

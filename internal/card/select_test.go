@@ -11,7 +11,7 @@ import (
 
 func TestNewRejectsRadiusMismatch(t *testing.T) {
 	net := staticNet(1, 50, 50)
-	nb := neighborhood.NewOracle(net, 3)
+	nb := neighborhood.NewOracle(net, 3, 0)
 	_, err := New(net, nb, Config{R: 4, MaxContactDist: 10}, xrand.New(1))
 	if err == nil {
 		t.Error("radius mismatch accepted")
@@ -144,7 +144,7 @@ func TestSelectDeterministic(t *testing.T) {
 		for i := range nets {
 			nets[i] = staticNet(6, 200, 50)
 			cfg := Config{R: 3, MaxContactDist: 14, NoC: 4, Method: EM}
-			nb := neighborhood.NewOracle(nets[i], cfg.R)
+			nb := neighborhood.NewOracle(nets[i], cfg.R, 0)
 			p, err := New(nets[i], nb, cfg, xrand.New(77))
 			if err != nil {
 				t.Fatal(err)
@@ -267,7 +267,7 @@ func TestQuickSelectInvariants(t *testing.T) {
 		rr := 2*r1 + 2 + rng.Intn(8) // r in [2R+2, 2R+9]
 		noc := 1 + rng.Intn(6)       // NoC in [1,6]
 		cfg := Config{R: r1, MaxContactDist: rr, NoC: noc, Method: method}
-		nb := neighborhood.NewOracle(net, r1)
+		nb := neighborhood.NewOracle(net, r1, 0)
 		p, err := New(net, nb, cfg, xrand.New(seed+5))
 		if err != nil {
 			return false

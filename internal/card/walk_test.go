@@ -198,7 +198,7 @@ func compareWalks(t testing.TB, p *Protocol, srcs []NodeID, saturate float64, se
 // walkProtocol wires a protocol with the given method and radii over net.
 func walkProtocol(t testing.TB, net *manet.Network, method Method, R, r int, seed uint64) *Protocol {
 	t.Helper()
-	p, err := New(net, neighborhood.NewOracle(net, R), Config{R: R, MaxContactDist: r, NoC: 4, Method: method}, xrand.New(seed))
+	p, err := New(net, neighborhood.NewOracle(net, R, 0), Config{R: R, MaxContactDist: r, NoC: 4, Method: method}, xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,16 +114,16 @@ func TestDeficitChurnEquivalence(t *testing.T) {
 }
 
 // TestViewCacheEngineEquivalence runs the same dirty churn+mobility trace
-// with the capped on-demand view cache in place of the resident oracle:
-// every table, statistic and message total must be bit-identical —
-// neighborhood views are pure functions of the snapshot, so the cache
-// policy must be invisible to results.
+// with a capped neighborhood Oracle (ViewCacheCap) in place of the
+// unbounded one: every table, statistic and message total must be
+// bit-identical — neighborhood views are pure functions of the snapshot,
+// so the residency policy must be invisible to results.
 func TestViewCacheEngineEquivalence(t *testing.T) {
 	nc := dirtyNet(250)
 	nc.ChurnMeanUp, nc.ChurnMeanDown = 15, 5
 	base := runDirtyTrace(t, nc, 1, 1)
 	cached := nc
-	cached.ViewCacheCap = 70 // ~2 per stripe at 250 nodes: constant eviction
+	cached.ViewCacheCap = 70 // well below 250 nodes: constant eviction
 	for _, c := range []struct {
 		name           string
 		workers, procs int

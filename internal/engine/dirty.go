@@ -28,8 +28,8 @@ import "math/bits"
 //   - Rule 5 (refill) is a no-op at NoC contacts, and selection rounds
 //     skip full tables outright.
 //
-// The below-NoC half of the round list needs no diff tracking at all: an
-// O(N) table-length scan per round catches churn expiry victims, cold
+// The below-NoC half of the round list needs no diff tracking at all: the
+// deficit set (see below) catches churn expiry victims, cold
 // readmissions, and nodes whose earlier walks failed and that retry with
 // fresh randomness every round (the paper's "lost opportunities" — these
 // must keep retrying even when nothing moved nearby).
@@ -184,19 +184,6 @@ func (e *Engine) noteRoundTables(list []NodeID) {
 			e.deficit.Add(int(u))
 		} else {
 			e.deficit.Remove(int(u))
-		}
-	}
-}
-
-// noteAllTables is noteRoundTables for a full round (every table).
-func (e *Engine) noteAllTables() {
-	n := e.net.N()
-	noc := e.cfg.NoC
-	for i := 0; i < n; i++ {
-		if e.prot.Table(NodeID(i)).Len() < noc {
-			e.deficit.Add(i)
-		} else {
-			e.deficit.Remove(i)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	proto "card/internal/card"
@@ -180,6 +181,51 @@ func TestDirtyRestrictsQuietRounds(t *testing.T) {
 	}
 }
 
+// TestDirtyMatchesFullOnStaticField pins the other regime of the
+// dirty-vs-full contract: on a static field nothing is dirtied once the
+// tables fill, so dirty rounds process only the below-NoC stragglers.
+// They must leave exactly the contact ids and paths full rounds leave —
+// a clean node's round is a no-op — while charging strictly less
+// validation traffic, the clean nodes' skipped walks. The lossy arm keeps
+// the claim honest under retransmissions and lost hops.
+func TestDirtyMatchesFullOnStaticField(t *testing.T) {
+	for _, loss := range []float64{0, 0.3} {
+		ncFull := testNet(400)
+		if loss > 0 {
+			ncFull.Loss, ncFull.LossRetries = loss, 1
+		}
+		ncDirty := ncFull
+		ncDirty.DirtyMaintenance = true
+		cfg := testCfg() // ValidatePeriod 2
+		ed, ef := newEngine(t, ncDirty, cfg), newEngine(t, ncFull, cfg)
+		ed.SelectContacts()
+		ef.SelectContacts()
+		ed.Advance(10)
+		ef.Advance(10)
+		if got, n := ed.LastRoundNodes(), ed.Nodes(); got >= n {
+			t.Fatalf("loss %v: last dirty round processed %d/%d nodes — no clean node was skipped, the comparison below would be vacuous", loss, got, n)
+		}
+		for u := 0; u < ed.Nodes(); u++ {
+			cd, cf := ed.Protocol().Table(NodeID(u)).Contacts(), ef.Protocol().Table(NodeID(u)).Contacts()
+			if len(cd) != len(cf) {
+				t.Fatalf("loss %v node %d: dirty keeps %d contacts, full %d", loss, u, len(cd), len(cf))
+			}
+			for i := range cd {
+				if cd[i].ID != cf[i].ID || !slices.Equal(cd[i].Path, cf[i].Path) {
+					t.Fatalf("loss %v node %d contact %d: dirty %d via %v, full %d via %v",
+						loss, u, i, cd[i].ID, cd[i].Path, cf[i].ID, cf[i].Path)
+				}
+			}
+		}
+		if vd, vf := ed.Messages().Validation, ef.Messages().Validation; vd >= vf {
+			t.Errorf("loss %v: dirty rounds charged %d validation hops, full rounds %d — want strictly fewer", loss, vd, vf)
+		}
+		if loss > 0 && ef.Messages().Retry == 0 {
+			t.Errorf("loss %v: full rounds retransmitted nothing — the lossy arm lost no hop", loss)
+		}
+	}
+}
+
 // TestDirtyOracleRetention checks the view-retention half of the dirty
 // machinery: after a mobile dirty-mode run, every retained neighborhood
 // view must equal what a fresh oracle computes from scratch on the same
@@ -189,7 +235,7 @@ func TestDirtyOracleRetention(t *testing.T) {
 	e.SelectContacts()
 	for step := 0; step < 6; step++ {
 		e.Advance(1.5) // off-period steps: refreshes with and without rounds
-		fresh := neighborhood.NewOracle(e.Network(), e.Config().R)
+		fresh := neighborhood.NewOracle(e.Network(), e.Config().R, 0)
 		for u := 0; u < e.Nodes(); u++ {
 			got := e.Neighborhood().Members(NodeID(u))
 			want := fresh.Members(NodeID(u))

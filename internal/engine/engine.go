@@ -211,14 +211,14 @@ type NetworkConfig struct {
 
 	// Proactive selects the neighborhood substrate (default OracleView).
 	Proactive ProactiveKind
-	// ViewCacheCap, when > 0, replaces the resident per-node view table of
-	// the OracleView substrate with a capped LRU cache of at most this many
-	// materialized views, computed on demand. Lookups stay bit-identical
-	// (views are pure functions of the snapshot; see neighborhood.ViewCache)
-	// but a million-node field no longer pays O(N) view memory or O(N)
-	// per-round warm sweeps — only the views rounds actually read exist.
-	// Requires the OracleView substrate. Sized well below the working set
-	// it trades recompute time for memory; the 1M preset uses it.
+	// ViewCacheCap, when > 0, caps how many neighborhood views the
+	// OracleView substrate keeps resident (0 = unbounded): installing a
+	// view beyond the cap evicts the oldest installed one. Lookups stay
+	// bit-identical (views are pure functions of the snapshot; see
+	// neighborhood.Oracle), but a million-node field no longer pays O(N)
+	// view memory. Requires the OracleView substrate. Sized well below the
+	// working set it trades recompute time for memory; the 1M preset uses
+	// it.
 	ViewCacheCap int
 	// DSDVPeriod is the full-dump interval for DSDVProtocol in seconds
 	// (default 1).
@@ -390,11 +390,12 @@ func (nc *NetworkConfig) rpgmConfig() mobility.RPGMConfig {
 // BatchQuery manages its own internal parallelism and must not overlap
 // with mutation.
 type Engine struct {
-	net  *manet.Network
-	prot *proto.Protocol
-	nb   neighborhood.Provider
-	dsdv *neighborhood.DSDV // non-nil iff Proactive == DSDVProtocol
-	cfg  proto.Config
+	net    *manet.Network
+	prot   *proto.Protocol
+	nb     neighborhood.Provider
+	oracle *neighborhood.Oracle // non-nil iff Proactive == OracleView
+	dsdv   *neighborhood.DSDV   // non-nil iff Proactive == DSDVProtocol
+	cfg    proto.Config
 
 	q *eventq.Queue
 	// rounds is the number of maintenance boundaries fired; boundary k
@@ -410,24 +411,18 @@ type Engine struct {
 
 	// Dirty-set round state (NetworkConfig.DirtyMaintenance); see dirty.go.
 	dirtyMode bool
-	oracle    viewRetainer // the substrate's retention hook; non-nil iff dirtyMode
-	dirtyAcc  *bitset.Set  // nodes dirtied since the last maintenance round
-	deficit   *bitset.Set  // nodes whose table sits below NoC (see dirty.go)
-	roundSet  *bitset.Set  // scratch: dirtyAcc ∪ deficit for the round list
-	dirtyAll  bool         // a full rebuild invalidated everything
-	lastRound int          // nodes processed by the most recent round
+	dirtyAcc  *bitset.Set // nodes dirtied since the last maintenance round
+	deficit   *bitset.Set // nodes whose table sits below NoC (see dirty.go)
+	roundSet  *bitset.Set // scratch: dirtyAcc ∪ deficit for the round list
+	dirtyAll  bool        // a full rebuild invalidated everything
+	lastRound int         // nodes processed by the most recent round
 	// Multi-source BFS scratch for expanding adjacency diffs.
 	dirtyStamp []uint64
 	dirtyGen   uint64
 	dirtyQueue []NodeID
 	roundList  []NodeID
-}
 
-// viewRetainer is the slice of the neighborhood substrate the dirty-set
-// machinery needs: advance the view cache's epoch keeping every view
-// except the listed ones. Oracle and ViewCache both implement it.
-type viewRetainer interface {
-	Retain(changed []NodeID)
+	allIDs []NodeID // 0..N-1, the full round's list; see allNodes
 }
 
 // New builds a network per nc and a CARD engine per cfg.
@@ -523,14 +518,12 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 		return nil, err
 	}
 	var nb neighborhood.Provider
+	var oracle *neighborhood.Oracle
 	var dsdv *neighborhood.DSDV
 	switch nc.Proactive {
 	case OracleView:
-		if nc.ViewCacheCap > 0 {
-			nb = neighborhood.NewViewCache(net, cfg.R, nc.ViewCacheCap)
-		} else {
-			nb = neighborhood.NewOracle(net, cfg.R)
-		}
+		oracle = neighborhood.NewOracle(net, cfg.R, nc.ViewCacheCap)
+		nb = oracle
 	case DSDVProtocol:
 		dcfg := neighborhood.DefaultDSDV()
 		if nc.DSDVPeriod > 0 {
@@ -553,10 +546,9 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{net: net, prot: p, nb: nb, dsdv: dsdv, cfg: p.Config(), q: eventq.New()}
+	e := &Engine{net: net, prot: p, nb: nb, oracle: oracle, dsdv: dsdv, cfg: p.Config(), q: eventq.New()}
 	if nc.DirtyMaintenance {
 		e.dirtyMode = true
-		e.oracle = nb.(viewRetainer) // fill() pinned Proactive == OracleView
 		e.dirtyAcc = bitset.New(nc.Nodes)
 		e.deficit = bitset.New(nc.Nodes)
 		e.deficit.Fill() // every table starts empty, hence below NoC

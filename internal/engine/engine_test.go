@@ -108,7 +108,7 @@ func TestAdvanceDriftFree(t *testing.T) {
 // checks after every refresh that the builder's snapshot equals the
 // all-pairs reference over the network's positions, mask and link model,
 // and that every view the substrate serves equals a fresh BFS over it —
-// under both the resident Oracle and the capped ViewCache. The mobile arm
+// under both an unbounded and a capped (ViewCacheCap) Oracle. The mobile arm
 // drives full rebuilds (most of the fleet moves every refresh); the
 // churned arms drive incremental updates, whose adjacency diff decides
 // which views are kept, scalar and directed (range spread plus

@@ -10,8 +10,8 @@ import (
 // contact selection and maintenance — with the same recipe BatchQuery uses
 // for the read side, plus one extra ingredient for the writes:
 //
-//  1. neighborhood views are warmed before the fan-out, so provider reads
-//     are pure;
+//  1. the neighborhood provider is synced (neighborhood.Warmer) before
+//     the fan-out, so workers may read it concurrently;
 //  2. each worker owns a card.Maintainer (private visited/overlap scratch,
 //     private RNG, private stats and message tallies), flushed serially in
 //     worker order after the join;
@@ -43,9 +43,9 @@ func (e *Engine) roundWorkers(n int) int {
 	return w
 }
 
-// warmProvider materializes lazily-computed neighborhood views up front:
-// afterwards the provider is read-only until the next refresh or substrate
-// round, so workers share it without locks.
+// warmProvider brings the neighborhood provider to the current snapshot
+// before a fan-out; afterwards workers may read it concurrently until the
+// next refresh or substrate round.
 func (e *Engine) warmProvider() {
 	if w, ok := e.nb.(neighborhood.Warmer); ok {
 		w.WarmAll()
@@ -65,108 +65,85 @@ func (e *Engine) workerMaintainers(workers int) []*proto.Maintainer {
 	return e.maintPool[:workers]
 }
 
-// maintainRound runs one maintenance round, sharded across the worker
-// pool (or serially when the bound says so). Under DirtyMaintenance the
-// round is restricted to the dirty list (see dirty.go), which it
-// consumes; otherwise it covers every node.
+// maintainRound runs one maintenance round over roundNodes. Under
+// DirtyMaintenance it consumes the dirty accumulator (see dirty.go).
 func (e *Engine) maintainRound(now float64) {
-	n := e.net.N()
-	if e.dirtyMode && !e.dirtyAll {
-		list := e.dirtyRoundList()
-		e.lastRound = len(list)
-		e.maintainList(list, now)
-		e.noteRoundTables(list) // only the listed tables could have changed
-		e.dirtyAcc.Clear()
-		return
-	}
-	e.lastRound = n
+	list := e.roundNodes()
+	e.runRound(list, now, false)
 	if e.dirtyMode {
+		e.noteRoundTables(list) // only the listed tables could have changed
 		e.dirtyAll = false
 		e.dirtyAcc.Clear()
-		defer e.noteAllTables()
 	}
-	workers := e.roundWorkers(n)
-	if workers <= 1 {
-		e.prot.MaintainAll(now)
-		return
-	}
-	e.warmProvider()
-	round := e.prot.NextRound()
-	ms := e.workerMaintainers(workers)
-	par.WorkersN(workers, n, func(worker, i int) {
-		ms[worker].MaintainNode(NodeID(i), now, round)
-	})
-	flushAll(ms)
 }
 
-// maintainList runs one maintenance round over just the listed nodes
-// (ascending ids), sharded like a full round and bit-identical to the
-// serial proto.MaintainSet loop.
-func (e *Engine) maintainList(list []NodeID, now float64) {
-	workers := e.roundWorkers(len(list))
-	if workers <= 1 {
-		e.prot.MaintainSet(list, now)
-		return
-	}
-	e.warmProvider()
-	round := e.prot.NextRound()
-	ms := e.workerMaintainers(workers)
-	par.WorkersN(workers, len(list), func(worker, i int) {
-		ms[worker].MaintainNode(list[i], now, round)
-	})
-	flushAll(ms)
-}
-
-// selectRound runs one selection round, sharded like maintainRound, and
-// returns the number of contacts added. Under DirtyMaintenance it reads
-// the dirty list without consuming it — only a maintenance round clears
-// the accumulator (selection is the lighter half of the round pair and
-// may be invoked out of schedule, e.g. the t=0 warm-up).
+// selectRound runs one selection round over roundNodes and returns the
+// number of contacts added. Under DirtyMaintenance it reads the dirty
+// list without consuming it — only a maintenance round clears the
+// accumulator (selection is the lighter half of the round pair and may be
+// invoked out of schedule, e.g. the t=0 warm-up).
 func (e *Engine) selectRound(now float64) int {
-	n := e.net.N()
-	if e.dirtyMode && !e.dirtyAll {
-		list := e.dirtyRoundList()
-		e.lastRound = len(list)
-		added := e.selectList(list, now)
-		e.noteRoundTables(list)
-		return added
-	}
-	e.lastRound = n
+	list := e.roundNodes()
+	added := e.runRound(list, now, true)
 	if e.dirtyMode {
-		defer e.noteAllTables()
+		e.noteRoundTables(list)
 	}
-	workers := e.roundWorkers(n)
-	if workers <= 1 {
-		return e.prot.SelectAll(now)
-	}
-	e.warmProvider()
-	round := e.prot.NextRound()
-	ms := e.workerMaintainers(workers)
-	added := make([]int, n)
-	par.WorkersN(workers, n, func(worker, i int) {
-		added[i] = ms[worker].SelectNode(NodeID(i), now, round)
-	})
-	flushAll(ms)
-	total := 0
-	for _, a := range added {
-		total += a
-	}
-	return total
+	return added
 }
 
-// selectList runs one selection round over just the listed nodes
-// (ascending ids), sharded like a full round.
-func (e *Engine) selectList(list []NodeID, now float64) int {
+// roundNodes returns the ascending ids the next round covers — the dirty
+// list under DirtyMaintenance unless a full rebuild dirtied everything,
+// else every node — and records its length for LastRoundNodes.
+func (e *Engine) roundNodes() []NodeID {
+	var list []NodeID
+	if e.dirtyMode && !e.dirtyAll {
+		list = e.dirtyRoundList()
+	} else {
+		list = e.allNodes()
+	}
+	e.lastRound = len(list)
+	return list
+}
+
+// allNodes returns the ids 0..N-1, the list a full round covers, built
+// once and kept.
+func (e *Engine) allNodes() []NodeID {
+	if e.allIDs == nil {
+		e.allIDs = make([]NodeID, e.net.N())
+		for i := range e.allIDs {
+			e.allIDs[i] = NodeID(i)
+		}
+	}
+	return e.allIDs
+}
+
+// runRound runs one selection (selection true) or maintenance round over
+// list, sharded across the worker pool, and returns the contacts a
+// selection round added. It consumes one RNG round id and is bit-identical
+// to the serial proto.SelectSet / proto.MaintainSet loop, which it runs
+// itself when the worker bound is 1.
+func (e *Engine) runRound(list []NodeID, now float64, selection bool) int {
 	workers := e.roundWorkers(len(list))
 	if workers <= 1 {
-		return e.prot.SelectSet(list, now)
+		if selection {
+			return e.prot.SelectSet(list, now)
+		}
+		e.prot.MaintainSet(list, now)
+		return 0
 	}
 	e.warmProvider()
 	round := e.prot.NextRound()
 	ms := e.workerMaintainers(workers)
-	added := make([]int, len(list))
+	var added []int // per worker; integer sums are order-independent
+	if selection {
+		added = make([]int, workers)
+	}
 	par.WorkersN(workers, len(list), func(worker, i int) {
-		added[i] = ms[worker].SelectNode(list[i], now, round)
+		if selection {
+			added[worker] += ms[worker].SelectNode(list[i], now, round)
+		} else {
+			ms[worker].MaintainNode(list[i], now, round)
+		}
 	})
 	flushAll(ms)
 	total := 0

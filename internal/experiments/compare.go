@@ -67,7 +67,7 @@ func runFig15Cell(fc struct {
 	// substrate for a fair comparison).
 	{
 		net := sc.StaticNet(seed)
-		nb := neighborhood.NewOracle(net, fc.R)
+		nb := neighborhood.NewOracle(net, fc.R, 0)
 		bc, err := bordercast.New(net, nb, bordercast.Config{Zone: fc.R, QD: bordercast.QD2})
 		if err != nil {
 			panic(err)
@@ -262,7 +262,7 @@ func RunAblationQD(o Options) *Table {
 		mode := modes[i/o.Seeds]
 		seed := uint64(i%o.Seeds) + 1
 		net := sc.StaticNet(seed)
-		nb := neighborhood.NewOracle(net, 3)
+		nb := neighborhood.NewOracle(net, 3, 0)
 		bc, err := bordercast.New(net, nb, bordercast.Config{Zone: 3, QD: mode})
 		if err != nil {
 			panic(err)

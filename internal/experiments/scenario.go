@@ -93,6 +93,6 @@ func (s Scenario) MobileNet(seed uint64, cfg mobility.RWPConfig) (*manet.Network
 
 // NewCARD wires a CARD protocol with an oracle neighborhood over net.
 func NewCARD(net *manet.Network, cfg card.Config, seed uint64) (*card.Protocol, error) {
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	return card.New(net, nb, cfg, xrand.New(seed).Derive(2))
 }

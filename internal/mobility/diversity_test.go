@@ -242,6 +242,25 @@ func TestParseSetdestRejectsGarbage(t *testing.T) {
 			t.Errorf("ParseSetdest accepted %q", src)
 		}
 	}
+	// strconv.ParseFloat reads these as numbers; a trace must not.
+	const head = "$node_(0) set X_ 1\n$node_(0) set Y_ 1\n"
+	nonFinite := []string{
+		"$node_(0) set X_ 1\n$node_(0) set Y_ 1\n$node_(1) set X_ NaN",
+		head + "$node_(0) set Y_ -Inf",
+		head + "$node_(0) set X_ +Inf",
+		head + `$ns_ at NaN "$node_(0) setdest 1.0 2.0 3.0"`,
+		head + `$ns_ at Inf "$node_(0) setdest 1.0 2.0 3.0"`,
+		head + `$ns_ at 1.0 "$node_(0) setdest nan 2.0 3.0"`,
+		head + `$ns_ at 1.0 "$node_(0) setdest 1.0 -inf 3.0"`,
+		head + `$ns_ at 1.0 "$node_(0) setdest 1.0 2.0 Infinity"`,
+		head + `$ns_ at 1.0 "$node_(0) setdest 1.0 2.0 NaN"`,
+	}
+	for _, src := range nonFinite {
+		_, err := ParseSetdest(strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), "trace line 3:") {
+			t.Errorf("ParseSetdest(%q) = %v, want a trace line 3 error", src, err)
+		}
+	}
 }
 
 // TestTraceReplayInterpolation walks the sample trace through its known

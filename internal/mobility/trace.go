@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -64,8 +65,9 @@ func (tr *Trace) Bounds() geom.Rect {
 // Z_ coordinates, comments (#...) and blank lines are ignored; unknown
 // lines are rejected so silently truncated traces cannot masquerade as
 // valid workloads. Node ids must be dense in [0, N) by the end of the
-// trace (any id may appear first). A setdest speed <= 0 stops the node
-// where it is, matching how generators emit "pause" commands.
+// trace (any id may appear first). Every number must be finite. A
+// setdest speed <= 0 stops the node where it is, matching how generators
+// emit "pause" commands.
 func ParseSetdest(r io.Reader) (*Trace, error) {
 	type nodeData struct {
 		init       geom.Point
@@ -108,7 +110,7 @@ func ParseSetdest(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("mobility: trace line %d: %v", lineNo, err)
 			}
-			v, err := strconv.ParseFloat(f[3], 64)
+			v, err := parseFinite(f[3])
 			if err != nil {
 				return nil, fmt.Errorf("mobility: trace line %d: bad coordinate %q", lineNo, f[3])
 			}
@@ -138,7 +140,7 @@ func ParseSetdest(r io.Reader) (*Trace, error) {
 				dst *float64
 				tok string
 			}{{&ev.T, f[2]}, {&ev.X, f[5]}, {&ev.Y, f[6]}, {&ev.Speed, f[7]}} {
-				if *p.dst, err = strconv.ParseFloat(p.tok, 64); err != nil {
+				if *p.dst, err = parseFinite(p.tok); err != nil {
 					return nil, fmt.Errorf("mobility: trace line %d: bad number %q", lineNo, p.tok)
 				}
 			}
@@ -174,6 +176,17 @@ func ParseSetdest(r io.Reader) (*Trace, error) {
 		tr.Events[id] = nd.events
 	}
 	return tr, nil
+}
+
+// parseFinite parses a trace number, rejecting NaN and ±Inf, which
+// strconv.ParseFloat accepts: a NaN coordinate would run as a node that
+// links to nobody.
+func parseFinite(tok string) (float64, error) {
+	v, err := strconv.ParseFloat(tok, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite %q", tok)
+	}
+	return v, err
 }
 
 func parseNodeID(tok string) (int, error) {
@@ -282,6 +295,13 @@ func NewTraceReplay(tr *Trace, area geom.Rect) (*TraceReplay, error) {
 			dur := pos.Dist(dest) / e.Speed
 			if dur <= 0 {
 				continue // already at the destination
+			}
+			if math.IsInf(et+dur, 1) {
+				// A course past the float range (coordinates near
+				// ±1e308): interpolation at any finite time reads frac = 0,
+				// and Inf·0 would make the position NaN. The node holds,
+				// which is where frac = 0 leaves it.
+				continue
 			}
 			segs = append(segs, traceSegment{t0: et, t1: et + dur, from: pos, to: dest})
 		}

@@ -55,7 +55,7 @@ func TestDSDVConvergesToOracleOnPath(t *testing.T) {
 	if rounds >= 20 {
 		t.Fatalf("did not converge within 20 rounds")
 	}
-	o := NewOracle(net, 3)
+	o := NewOracle(net, 3, 0)
 	for u := NodeID(0); u < 10; u++ {
 		if !sameMembers(d.Members(u), o.Members(u)) {
 			t.Errorf("node %d: dsdv %v != oracle %v", u, d.Members(u), o.Members(u))
@@ -72,7 +72,7 @@ func TestDSDVConvergesToOracleOnRandomNet(t *testing.T) {
 	net := randomNet(17, 150, 60)
 	d := newDSDV(t, net, 3)
 	d.Converge(0, 30)
-	o := NewOracle(net, 3)
+	o := NewOracle(net, 3, 0)
 	for u := NodeID(0); int(u) < net.N(); u += 7 {
 		if !sameMembers(d.Members(u), o.Members(u)) {
 			t.Fatalf("node %d neighborhood mismatch:\n dsdv %v\n orac %v", u, d.Members(u), o.Members(u))
@@ -203,7 +203,7 @@ func TestDSDVStartOnEventQueue(t *testing.T) {
 	q := eventq.New()
 	d.Start(q)
 	q.RunUntil(10) // ten periods of staggered dumps
-	o := NewOracle(net, 3)
+	o := NewOracle(net, 3, 0)
 	for u := NodeID(0); u < 8; u++ {
 		if !sameMembers(d.Members(u), o.Members(u)) {
 			t.Fatalf("event-driven DSDV did not converge at node %d: %v vs %v",
@@ -291,7 +291,7 @@ func TestDSDVMobileChurnKeepsViewsFresh(t *testing.T) {
 		d.DetectBreaks(tm)
 		d.Round(tm)
 	}
-	o := NewOracle(net, 2)
+	o := NewOracle(net, 2, 0)
 	agree, total := 0, 0
 	for u := NodeID(0); int(u) < net.N(); u++ {
 		ds, os := d.Members(u), o.Members(u)

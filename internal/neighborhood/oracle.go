@@ -1,18 +1,19 @@
 package neighborhood
 
 import (
+	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"card/internal/manet"
-	"card/internal/par"
 	"card/internal/topology"
 )
 
 // Oracle provides the converged R-hop neighborhood view over the network's
-// current topology snapshot. Views are computed lazily per node and cached
-// until the network epoch changes, so mobile simulations pay only for the
-// nodes actually queried between refreshes.
+// current topology snapshot. Views are computed on first read per node and
+// kept until the network epoch changes, so mobile simulations pay only for
+// the nodes actually read between refreshes.
 //
 // # Compact views
 //
@@ -22,6 +23,34 @@ import (
 // N-bit membership set per view) would have cost ~800 KB per node, ~80 GB
 // warm; the compact view is O(|ball|), a few KB. Lookups binary-search the
 // member column; routes are reconstructed by chaining parents.
+//
+// # Residency
+//
+// Views live in one slot per node. With maxResident 0 every computed view
+// stays until the epoch moves on. With maxResident > 0 at most that many
+// views are resident at once: installs are recorded in a FIFO ring, and
+// installing into a full ring first evicts the oldest recorded id. Every
+// resident view was recorded at its install and is cleared when its
+// record is evicted, so the resident views are a subset of the ring's ids
+// and never more than maxResident. Retain and the epoch wipe clear slots
+// without touching the ring; a stale record only makes a later eviction
+// clear an already-empty (or re-installed) slot, which can only lower
+// residency. The 1M-node preset uses the cap: a fully resident view table
+// at R=2 over a million nodes is gigabytes, almost all of it never read by
+// a restricted maintenance round.
+//
+// # Concurrency and determinism
+//
+// A view is a pure function of the current snapshot, so what is resident,
+// what was evicted and which goroutine computed a view first cannot
+// influence any result: every read returns data bit-identical to a fresh
+// computation. Reads are safe from any number of goroutines once WarmAll
+// has brought the Oracle to the current epoch: a read loads the node's
+// slot and, when it is empty, computes the view and installs it with a
+// compare-and-swap — the loser of a race adopts the winner's (identical)
+// view. Hits never lock; a capped install takes the ring lock. Evicted
+// views stay valid for readers holding them (views are immutable once
+// built; eviction only drops the slot's reference).
 //
 // # Retention across refreshes
 //
@@ -38,21 +67,26 @@ type Oracle struct {
 	net *manet.Network
 	r   int
 
+	// epoch is the network epoch the slots belong to. Only serial calls
+	// (WarmAll, Retain, a read that finds the epoch stale) write it.
 	epoch uint64
-	views []*oracleView // indexed by node, nil = not yet computed this epoch
+	slots []atomic.Pointer[oracleView] // indexed by node; nil = not resident
 
-	// missing tracks which views WarmAll still has to materialize, so a
-	// warm call after Retain costs O(dropped), never an O(N) nil sweep.
-	// allMissing covers the epoch-wipe / initial state where every view is
-	// absent; when it is false, missing is a superset of the nil views
-	// (on-demand computes fill a view without delisting it; duplicates
-	// from repeated drops are compacted before the warm fan-out).
-	missing    []NodeID
-	allMissing bool
+	// ring records installed ids in install order when capped (len ==
+	// maxResident; nil when unbounded, which a cap at or above the node
+	// count is too). next is the position the next install overwrites,
+	// filled how many positions hold a record.
+	//
+	//cardlint:parallel install guard for the capped view ring; views are pure functions of the snapshot, so lock order cannot alter simulation results
+	ringMu sync.Mutex
+	ring   []NodeID
+	next   int
+	filled int
 
-	// scratch pools the per-BFS stamp arrays: view computation runs from
-	// WarmAll's worker fan-out, and the scratch contents never influence
-	// the (purely graph-determined) view, so pooling is determinism-safe.
+	// scratch pools the per-BFS stamp arrays: views are computed by
+	// whichever worker reads them first, and the scratch contents never
+	// influence the (purely graph-determined) view, so pooling is
+	// determinism-safe.
 	scratch sync.Pool
 }
 
@@ -88,22 +122,29 @@ type oracleScratch struct {
 	order  []NodeID // BFS discovery order; doubles as the queue
 }
 
-// NewOracle creates an oracle neighborhood provider with radius r over net.
-func NewOracle(net *manet.Network, r int) *Oracle {
+// NewOracle creates an oracle neighborhood provider with radius r over
+// net, keeping at most maxResident views resident (0 = unbounded; a cap
+// at or above the node count is unbounded too).
+func NewOracle(net *manet.Network, r, maxResident int) *Oracle {
 	if r < 1 {
 		panic("neighborhood: radius must be >= 1")
 	}
 	if r > 255 {
 		panic("neighborhood: radius exceeds uint8 distance column")
 	}
-	o := &Oracle{
-		net:        net,
-		r:          r,
-		epoch:      net.Epoch(),
-		views:      make([]*oracleView, net.N()),
-		allMissing: true,
+	if maxResident < 0 {
+		panic(fmt.Sprintf("neighborhood: negative view residency cap %d", maxResident))
 	}
 	n := net.N()
+	o := &Oracle{
+		net:   net,
+		r:     r,
+		epoch: net.Epoch(),
+		slots: make([]atomic.Pointer[oracleView], n),
+	}
+	if maxResident > 0 && maxResident < n {
+		o.ring = make([]NodeID, maxResident)
+	}
 	o.scratch.New = func() any {
 		return &oracleScratch{
 			stamp:  make([]uint64, n),
@@ -117,16 +158,25 @@ func NewOracle(net *manet.Network, r int) *Oracle {
 // R implements Provider.
 func (o *Oracle) R() int { return o.r }
 
-// invalidate drops cached views if the topology moved on.
-func (o *Oracle) invalidate() {
-	if e := o.net.Epoch(); e != o.epoch {
-		o.epoch = e
-		for i := range o.views {
-			o.views[i] = nil
-		}
-		o.allMissing = true
-		o.missing = o.missing[:0]
+// sync advances the Oracle to the network's current epoch, wiping every
+// view when the topology moved on without a Retain call. Only a stale
+// epoch writes anything, so after WarmAll concurrent readers find sync a
+// pure read.
+func (o *Oracle) sync() {
+	e := o.net.Epoch()
+	if e == o.epoch {
+		return
 	}
+	o.epoch = e
+	if o.ring == nil {
+		clear(o.slots)
+		return
+	}
+	// Every resident view is recorded in the ring (see the type comment).
+	for _, u := range o.ring[:o.filled] {
+		o.slots[u].Store(nil)
+	}
+	o.next, o.filled = 0, 0
 }
 
 // Retain advances the oracle to the network's current epoch while keeping
@@ -139,29 +189,20 @@ func (o *Oracle) invalidate() {
 func (o *Oracle) Retain(changed []NodeID) {
 	o.epoch = o.net.Epoch()
 	for _, u := range changed {
-		if o.views[u] == nil {
-			continue // never computed, or already dropped and listed
-		}
-		o.views[u] = nil
-		if !o.allMissing {
-			o.missing = append(o.missing, u)
-		}
+		o.slots[u].Store(nil)
 	}
 }
 
-// compute builds u's view from the current snapshot (pure read of the
-// graph; safe to run concurrently for distinct nodes).
-func (o *Oracle) compute(u NodeID) *oracleView {
-	s := o.scratch.Get().(*oracleScratch)
-	v := computeView(o.net.Graph(), o.r, u, s)
-	o.scratch.Put(s)
-	return v
-}
+// WarmAll implements Warmer. It computes no view: it only brings the
+// Oracle to the current epoch (wiping the views of a refresh that was not
+// retained), which is what makes the following concurrent reads safe —
+// each worker then computes and installs the views it reads.
+func (o *Oracle) WarmAll() { o.sync() }
 
 // computeView runs the R-bounded BFS for u over g into the reusable
 // scratch and compacts the result into an O(ball) view. Pure function of
-// the graph — every caller (Oracle, ViewCache, any worker) gets the
-// bit-identical view for the same snapshot.
+// the graph — every worker that computes u's view gets the bit-identical
+// view for the same snapshot.
 func computeView(g *topology.Graph, r int, u NodeID, s *oracleScratch) *oracleView {
 	s.gen++
 	gen := s.gen
@@ -216,49 +257,43 @@ func computeView(g *topology.Graph, r int, u NodeID, s *oracleScratch) *oracleVi
 	return view
 }
 
+// view returns u's view, computing and installing it if absent.
 func (o *Oracle) view(u NodeID) *oracleView {
-	o.invalidate()
-	if v := o.views[u]; v != nil {
+	o.sync()
+	if v := o.slots[u].Load(); v != nil {
 		return v
 	}
-	v := o.compute(u)
-	o.views[u] = v
-	return v
+	s := o.scratch.Get().(*oracleScratch)
+	v := computeView(o.net.Graph(), o.r, u, s)
+	o.scratch.Put(s)
+	return o.install(u, v)
 }
 
-// WarmAll implements Warmer: it materializes every missing view for the
-// current snapshot, fanning the per-node BFS across workers. Afterwards
-// Members/Contains/Dist/Route/EdgeNodes are pure reads until the next
-// epoch. Under Retain-driven retention only the dropped views are listed
-// and recomputed — the warm call is O(dropped) work AND dispatch, so a
-// quiet refresh costs nothing; only an epoch wipe (or the first warm)
-// pays the O(N) fan-out.
-func (o *Oracle) WarmAll() {
-	o.invalidate()
-	if o.allMissing {
-		par.Do(len(o.views), func(i int) {
-			if o.views[i] == nil {
-				o.views[i] = o.compute(NodeID(i))
-			}
-		})
-		o.allMissing = false
-		o.missing = o.missing[:0]
-		return
-	}
-	if len(o.missing) == 0 {
-		return
-	}
-	// Dedup before the fan-out: a view dropped, recomputed on demand and
-	// dropped again is listed twice, and two workers must never race on
-	// one slot.
-	slices.Sort(o.missing)
-	miss := slices.Compact(o.missing)
-	par.Do(len(miss), func(i int) {
-		if u := miss[i]; o.views[u] == nil {
-			o.views[u] = o.compute(u)
+// install publishes u's freshly computed view v and returns the view u's
+// slot holds afterwards: v, or the identical view another reader
+// installed first. Capped, it records u in the ring and evicts the oldest
+// record once the ring is full.
+func (o *Oracle) install(u NodeID, v *oracleView) *oracleView {
+	if o.ring == nil {
+		if o.slots[u].CompareAndSwap(nil, v) {
+			return v
 		}
-	})
-	o.missing = o.missing[:0]
+		return o.slots[u].Load()
+	}
+	o.ringMu.Lock()
+	defer o.ringMu.Unlock()
+	if w := o.slots[u].Load(); w != nil {
+		return w
+	}
+	if o.filled == len(o.ring) {
+		o.slots[o.ring[o.next]].Store(nil)
+	} else {
+		o.filled++
+	}
+	o.ring[o.next] = u
+	o.next = (o.next + 1) % len(o.ring)
+	o.slots[u].Store(v)
+	return v
 }
 
 // Members implements Provider.

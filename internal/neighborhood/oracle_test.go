@@ -34,12 +34,12 @@ func TestOracleRadiusValidation(t *testing.T) {
 			t.Error("radius 0 did not panic")
 		}
 	}()
-	NewOracle(lineNet(3), 0)
+	NewOracle(lineNet(3), 0, 0)
 }
 
 func TestOracleNeighborhoodOnPath(t *testing.T) {
 	net := lineNet(10)
-	o := NewOracle(net, 3)
+	o := NewOracle(net, 3, 0)
 	if o.R() != 3 {
 		t.Fatalf("R = %d", o.R())
 	}
@@ -65,7 +65,7 @@ func TestOracleNeighborhoodOnPath(t *testing.T) {
 }
 
 func TestOracleSelfMembership(t *testing.T) {
-	o := NewOracle(lineNet(5), 2)
+	o := NewOracle(lineNet(5), 2, 0)
 	for u := NodeID(0); u < 5; u++ {
 		if !o.Contains(u, u) {
 			t.Errorf("node %d not in its own neighborhood", u)
@@ -78,7 +78,7 @@ func TestOracleSelfMembership(t *testing.T) {
 
 func TestOracleEdgeNodes(t *testing.T) {
 	net := lineNet(10)
-	o := NewOracle(net, 3)
+	o := NewOracle(net, 3, 0)
 	// Node 5's edge nodes at exactly 3 hops: {2, 8}.
 	edges := o.EdgeNodes(5)
 	if len(edges) != 2 {
@@ -99,7 +99,7 @@ func TestOracleEdgeNodes(t *testing.T) {
 
 func TestOracleRoute(t *testing.T) {
 	net := lineNet(8)
-	o := NewOracle(net, 4)
+	o := NewOracle(net, 4, 0)
 	route := o.Route(1, 5)
 	want := []NodeID{1, 2, 3, 4, 5}
 	if len(route) != len(want) {
@@ -120,7 +120,7 @@ func TestOracleRoute(t *testing.T) {
 
 func TestOracleMatchesBoundedBFS(t *testing.T) {
 	net := randomNet(33, 200, 50)
-	o := NewOracle(net, 3)
+	o := NewOracle(net, 3, 0)
 	g := net.Graph()
 	for u := NodeID(0); int(u) < g.N(); u += 17 {
 		bfs := g.BoundedBFS(u, 3)
@@ -144,7 +144,7 @@ func TestOracleCacheInvalidationOnRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := manet.New(m, 15, xrand.New(6))
-	o := NewOracle(net, 2)
+	o := NewOracle(net, 2, 0)
 	before := len(o.Members(0))
 	// Walk them for a while; with 50 m/s in a 1000 m corridor they will
 	// separate beyond 15 m at some refresh.
@@ -159,7 +159,7 @@ func TestOracleCacheInvalidationOnRefresh(t *testing.T) {
 
 func TestOverlapsPredicate(t *testing.T) {
 	net := lineNet(12)
-	o := NewOracle(net, 2)
+	o := NewOracle(net, 2, 0)
 	// Neighborhood(0) = {0..2}, neighborhood(3) = {1..5}: overlap.
 	if !Overlaps(o, 0, 3) {
 		t.Error("Overlaps(0,3) = false, want true")
@@ -174,7 +174,7 @@ func TestQuickOracleRoutesAreValidPaths(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		net := randomNet(seed, 80+rng.Intn(60), 60)
-		o := NewOracle(net, 3)
+		o := NewOracle(net, 3, 0)
 		g := net.Graph()
 		for probe := 0; probe < 20; probe++ {
 			u := NodeID(rng.Intn(g.N()))
@@ -205,7 +205,7 @@ func TestQuickEdgeNodesAtExactlyR(t *testing.T) {
 		rng := xrand.New(seed)
 		net := randomNet(seed, 100, 55)
 		r := 1 + rng.Intn(4)
-		o := NewOracle(net, r)
+		o := NewOracle(net, r, 0)
 		for probe := 0; probe < 10; probe++ {
 			u := NodeID(rng.Intn(net.N()))
 			for _, e := range o.EdgeNodes(u) {

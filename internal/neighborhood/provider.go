@@ -5,10 +5,12 @@
 // Two providers are offered:
 //
 //   - [Oracle] — the converged view: R-hop BFS over the current topology
-//     snapshot, cached per network epoch. This matches how the paper's
-//     analysis treats the neighborhood (its overhead metrics deliberately
-//     exclude proactive-update traffic), and is the default for experiment
-//     runs.
+//     snapshot, computed on first read and kept per network epoch, with an
+//     optional cap on how many views stay resident (the 1M-node preset
+//     uses one; lookups are identical either way). This matches how the
+//     paper's analysis treats the neighborhood (its overhead metrics
+//     deliberately exclude proactive-update traffic), and is the default
+//     for experiment runs.
 //   - [DSDV] — an actual scoped destination-sequenced distance-vector
 //     protocol: per-destination sequence numbers, periodic full dumps,
 //     triggered updates on link breaks, hop-limited to R. It exists to
@@ -54,12 +56,13 @@ type Provider interface {
 	EdgeNodes(u NodeID) []NodeID
 }
 
-// Warmer is implemented by providers whose per-node views are computed
-// lazily (and therefore mutate internal caches on first read). WarmAll
-// materializes every node's view for the current topology snapshot, after
-// which the Provider's read methods are safe to call from multiple
-// goroutines until the next topology refresh or protocol round. The
-// engine's batch query fan-out warms providers before going parallel.
+// Warmer is implemented by providers whose per-node state must catch up
+// with the current topology snapshot before concurrent reads. WarmAll
+// runs serially — DSDV rebuilds its dirty per-node caches, the Oracle
+// advances its epoch (computing no view: its readers compute and publish
+// missing views themselves) — after which the Provider's read methods are
+// safe to call from multiple goroutines until the next topology refresh
+// or protocol round. The engine calls it before every worker fan-out.
 type Warmer interface {
 	WarmAll()
 }

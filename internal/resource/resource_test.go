@@ -23,7 +23,7 @@ func testNet(seed uint64, n int) *manet.Network {
 func testProtocol(t *testing.T, net *manet.Network) *card.Protocol {
 	t.Helper()
 	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	p, err := card.New(net, nb, cfg, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestDiscoverUnreachableHolder(t *testing.T) {
 	a := geom.Rect{W: 600, H: 600}
 	net := manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
 	cfg := card.Config{R: 2, MaxContactDist: 6, NoC: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	p, err := card.New(net, nb, cfg, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)

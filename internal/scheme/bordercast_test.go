@@ -24,7 +24,7 @@ func lineEnv(t *testing.T) Env {
 	}
 	net := manet.New(mobility.NewStatic(pts, a), 70, xrand.New(2))
 	cfg := card.Config{R: 2, MaxContactDist: 8, NoC: 2, Depth: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	prot, err := card.New(net, nb, cfg, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)

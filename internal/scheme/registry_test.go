@@ -23,7 +23,7 @@ func testEnv(t *testing.T, n int) Env {
 	pts := topology.UniformPositions(n, area, rng)
 	net := manet.New(mobility.NewStatic(pts, area), 60, rng.Derive(1))
 	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	prot, err := card.New(net, nb, cfg, rng.Derive(2))
 	if err != nil {
 		t.Fatal(err)

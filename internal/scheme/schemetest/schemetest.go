@@ -47,7 +47,7 @@ func Env(tb testing.TB, seed uint64, n int) scheme.Env {
 	pts := topology.UniformPositions(n, area, rng)
 	net := manet.New(mobility.NewStatic(pts, area), 50, rng.Derive(1))
 	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	prot, err := card.New(net, nb, cfg, rng.Derive(2))
 	if err != nil {
 		tb.Fatal(err)
@@ -76,7 +76,7 @@ func LossyEnv(tb testing.TB, seed uint64, n int) scheme.Env {
 		Loss: manet.LossConfig{Rate: 0.15, Retries: 2},
 	}, rng.Derive(1))
 	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
+	nb := neighborhood.NewOracle(net, cfg.R, 0)
 	prot, err := card.New(net, nb, cfg, rng.Derive(2))
 	if err != nil {
 		tb.Fatal(err)

@@ -356,8 +356,8 @@ func streamSummary(agg *stats.Welford, win *stats.Window) stats.Summary {
 
 // runTick executes one tick's arrivals against the current snapshot,
 // filling outs indexed like batch. Every scheme shards with the
-// batch-query recipe: warm the neighborhood views (lazy per-epoch caches
-// must not be populated concurrently), fan the batch across per-worker
+// batch-query recipe: sync the neighborhood provider (WarmAll must run
+// serially before concurrent reads), fan the batch across per-worker
 // scheme.Workers with private tallies, then flush serially after the
 // join.
 func runTick(prot *card.Protocol, net *manet.Network, sch scheme.DiscoveryScheme,
